@@ -4,8 +4,9 @@
 //   3. FFT window duration (1-10 s) accuracy trade-off;
 //   4. the 5 s rate reset when switching to competitive mode.
 //
-// Experiments 1, 3, and 4 are independent scenario batches, each run
-// through the ParallelRunner.
+// Experiments 3 and 4 are scenario sweeps through exp::run_sweep;
+// experiment 1 drives its two runs through the ParallelRunner directly,
+// because its detector hooks the Nimbus status stream run_scenario owns.
 #include <complex>
 
 #include "common.h"
@@ -136,10 +137,9 @@ int main() {
     fft_specs.push_back(exp::accuracy_scenario(
         "poisson", 96e6, from_ms(50), from_ms(50), 0.5, duration, 64, cfg));
   }
-  const auto accs = exp::run_scenarios_cached(
-      fft_specs, [&](const exp::ScenarioSpec& s, exp::ScenarioRun& run) {
-        return exp::CellResult::scalar(exp::score_accuracy(
-            run, s, exp::accuracy_cross_is_elastic("poisson")));
+  const auto accs = exp::run_sweep(
+      fft_specs, [](const exp::ScenarioSpec& s, exp::ScenarioRun& run) {
+        return exp::CellResult::scalar(exp::score_accuracy(run, s));
       });
   double best = 0, at1s = 0;
   for (std::size_t i = 0; i < fft_secs.size(); ++i) {
@@ -154,7 +154,7 @@ int main() {
   // 4. Rate reset on switching to competitive.
   const std::vector<exp::ScenarioSpec> reset_specs = {
       reset_spec(true, duration), reset_spec(false, duration)};
-  const auto recovery = exp::run_scenarios_cached(
+  const auto recovery = exp::run_sweep(
       reset_specs, [](const exp::ScenarioSpec&, exp::ScenarioRun& run) {
         // Throughput in the fixed window right after detection (~18.6 s)
         // — where the reset's effect lives; it is transient, so the

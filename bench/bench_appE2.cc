@@ -4,9 +4,7 @@
 // degrades, Nimbus keeps its fair share and bounded delay.
 //
 // Declarative form: accuracy_scenario specs for the buffer/RTT grid plus
-// QueueKind::kPie specs for the AQM cells, batched through the
-// ParallelRunner.  Verified byte-identical to the imperative run_pie
-// version it replaces.
+// QueueKind::kPie specs for the AQM cells, batched through exp::run_sweep.
 #include "common.h"
 
 using namespace nimbus;
@@ -30,9 +28,11 @@ exp::ScenarioSpec pie_spec(double target_bdp_frac, TimeNs duration) {
   return spec;
 }
 
-double collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-  // Ground truth (elastic cross present) is derived from the spec.
-  return exp::score_accuracy(run, spec);
+// Cell layout: [accuracy].  Ground truth (elastic cross present) is
+// derived from the spec.
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
+  return exp::CellResult::scalar(exp::score_accuracy(run, spec));
 }
 
 }  // namespace
@@ -77,12 +77,11 @@ int main() {
   }
 
   util::OnlineStats acc;
-  exp::run_scenarios<double>(
-      specs, collect, {},
-      [&](std::size_t i, double& a) {
-        row("appE2", labels[i], {a});
-        if (i < headline_cells) acc.add(a);
-      });
+  exp::run_sweep(specs, collect, {},
+                 [&](std::size_t i, exp::CellResult& r) {
+                   row("appE2", labels[i], {r.value()});
+                   if (i < headline_cells) acc.add(r.value());
+                 });
   row("appE2", "summary_mean_accuracy", {acc.mean()});
   shape_check("appE2", acc.mean() > 0.7,
               "accuracy stays high across buffers and RTTs");

@@ -4,9 +4,8 @@
 // pulses inverted after one RTT; inelastic z is flat.
 //
 // Declarative form: one ScenarioSpec per cross kind (delay-mode-held
-// Nimbus protagonist), batched through the ParallelRunner; the z(t) series
-// comes from the run's standard z log.  Verified byte-identical to the
-// imperative set_status_handler version it replaces.
+// Nimbus protagonist), batched through exp::run_sweep; the z(t) series
+// comes from the run's standard z log.
 #include "common.h"
 
 using namespace nimbus;
@@ -40,16 +39,18 @@ int main() {
   std::vector<exp::ScenarioSpec> specs;
   for (const auto& k : kinds) specs.push_back(make_spec(k));
 
-  // z(t) samples in the (25, 28) s window, per kind.
-  const auto series = exp::run_scenarios<std::vector<double>>(
+  // Cell layout: the z(t) samples (bit/s) in the (25, 28) s window, one
+  // per 10 ms detector report.
+  const auto series = exp::run_sweep(
       specs,
       [](const exp::ScenarioSpec&, exp::ScenarioRun& run) {
-        return run.z_log->values_in(from_sec(25), from_sec(28));
+        return exp::CellResult::vec(
+            run.z_log->values_in(from_sec(25), from_sec(28)));
       },
       {},
-      [&](std::size_t i, std::vector<double>& zs) {
+      [&](std::size_t i, exp::CellResult& r) {
         std::size_t j = 0;
-        for (double v : zs) {
+        for (double v : r.values) {
           row("fig04", kinds[i],
               {25.0 + 0.01 * static_cast<double>(j++), v / 1e6});
         }
@@ -63,8 +64,8 @@ int main() {
     }
     return (mx - mn) / 1e6;
   };
-  const double swing_elastic = swing(series[0]);
-  const double swing_inelastic = swing(series[1]);
+  const double swing_elastic = swing(series[0].values);
+  const double swing_inelastic = swing(series[1].values);
   row("fig04", "summary_pp_swing", {swing_elastic, swing_inelastic});
   shape_check("fig04", swing_elastic > 1.5 * swing_inelastic,
               "elastic z(t) reacts to pulses; inelastic z(t) is flat(ter)");

@@ -4,7 +4,7 @@
 //
 // Declarative form: one ScenarioSpec per cross kind; the spectrum is read
 // off the protagonist Nimbus's detector while the worker still owns the
-// network.  Verified byte-identical to the imperative version it replaces.
+// network.
 #include "common.h"
 
 using namespace nimbus;
@@ -29,19 +29,33 @@ exp::ScenarioSpec make_spec(const std::string& kind) {
   return spec;
 }
 
+// Cell layout: [sample_rate_hz, then the magnitude bins 0..N/2].
+exp::CellResult collect(const exp::ScenarioSpec&, exp::ScenarioRun& run) {
+  const spectral::Spectrum s = run.built.nimbus->detector().full_spectrum();
+  exp::CellResult r = exp::CellResult::vec(s.magnitude);
+  r.values.insert(r.values.begin(), s.sample_rate_hz);
+  return r;
+}
+
+spectral::Spectrum spectrum_of(const exp::CellResult& r) {
+  spectral::Spectrum s;
+  s.sample_rate_hz = r.value(0);
+  for (std::size_t k = 1; k < r.values.size(); ++k) {
+    s.magnitude.push_back(r.values[k]);
+  }
+  return s;
+}
+
 }  // namespace
 
 int main() {
   std::printf("fig05,kind,freq_hz,magnitude_mbps\n");
   const std::vector<exp::ScenarioSpec> specs = {make_spec("elastic"),
                                                 make_spec("inelastic")};
-  const auto spectra = exp::run_scenarios<spectral::Spectrum>(
-      specs, [](const exp::ScenarioSpec&, exp::ScenarioRun& run) {
-        return run.built.nimbus->detector().full_spectrum();
-      });
+  const auto cells = exp::run_sweep(specs, collect);
 
-  const auto& elastic = spectra[0];
-  const auto& inelastic = spectra[1];
+  const spectral::Spectrum elastic = spectrum_of(cells[0]);
+  const spectral::Spectrum inelastic = spectrum_of(cells[1]);
   for (std::size_t k = 1; k < elastic.bins() && elastic.frequency(k) <= 50;
        ++k) {
     row("fig05", "elastic", {elastic.frequency(k),

@@ -6,9 +6,8 @@
 // eta_thresh = 2.
 //
 // Declarative form: one ScenarioSpec per elastic fraction, batched through
-// the ParallelRunner; raw-eta samples come from the run's standard
-// detector-gated eta_raw log.  Verified byte-identical to the imperative
-// version it replaces.
+// exp::run_sweep; raw-eta samples come from the run's standard
+// detector-gated eta_raw log.
 #include "common.h"
 
 using namespace nimbus;
@@ -46,11 +45,11 @@ exp::ScenarioSpec make_spec(double elastic_fraction, std::uint64_t seed,
   return spec;
 }
 
-util::Percentiles collect(const exp::ScenarioSpec& spec,
-                          exp::ScenarioRun& run) {
-  util::Percentiles p;
-  p.add_all(run.eta_raw_log->values_in(from_sec(10), spec.duration));
-  return p;
+// Cell layout: the raw eta samples after the 10 s warmup, in log order.
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
+  return exp::CellResult::vec(
+      run.eta_raw_log->values_in(from_sec(10), spec.duration));
 }
 
 }  // namespace
@@ -63,16 +62,19 @@ int main() {
   for (double frac : fracs) specs.push_back(make_spec(frac, 17, duration));
 
   double median_0 = 0, median_100 = 0, median_25 = 0;
-  exp::run_scenarios<util::Percentiles>(
+  exp::run_sweep(
       specs, collect, {},
-      [&](std::size_t i, util::Percentiles& p) {
+      [&](std::size_t i, exp::CellResult& r) {
+        util::Percentiles p;
+        p.add_all(r.values);
         const double frac = fracs[i];
+        const double median = quantile(p, 0.5);
         row("fig06", util::format_num(frac),
-            {p.percentile(0.10), p.percentile(0.25), p.median(),
-             p.percentile(0.75), p.percentile(0.90)});
-        if (frac == 0.0) median_0 = p.median();
-        if (frac == 0.25) median_25 = p.median();
-        if (frac == 1.0) median_100 = p.median();
+            {quantile(p, 0.10), quantile(p, 0.25), median, quantile(p, 0.75),
+             quantile(p, 0.90)});
+        if (frac == 0.0) median_0 = median;
+        if (frac == 0.25) median_25 = median;
+        if (frac == 1.0) median_100 = median;
       });
   shape_check("fig06", median_0 < 2.0,
               "purely inelastic cross traffic has median eta ~1 (< 2)");

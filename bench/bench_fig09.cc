@@ -3,7 +3,7 @@
 // Nimbus matches Cubic/BBR's throughput at ~50 ms lower median RTT; Vegas
 // and Copa lose throughput.
 //
-// One ScenarioSpec per scheme, run through the ParallelRunner.
+// One ScenarioSpec per scheme, run through exp::run_sweep.
 #include <map>
 
 #include "common.h"
@@ -30,14 +30,27 @@ exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   return spec;
 }
 
-Result collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-  Result r;
+// Cell layout: [n, then the n per-second rate samples (Mbit/s), then the
+// RTT samples (ms)], all after the 10 s warmup.
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const auto& rec = run.built.net->recorder();
-  for (double v :
-       exp::rate_series_mbps(rec, 1, from_sec(10), spec.duration)) {
-    r.rate_mbps.add(v);
+  const auto rates = exp::rate_series_mbps(rec, 1, from_sec(10), spec.duration);
+  exp::CellResult r =
+      exp::CellResult::scalar(static_cast<double>(rates.size()));
+  r.values.insert(r.values.end(), rates.begin(), rates.end());
+  for (double v : rec.rtt_samples(1).values_in(from_sec(10), spec.duration)) {
+    r.values.push_back(v);
   }
-  r.rtt_ms.add_all(rec.rtt_samples(1).values_in(from_sec(10), spec.duration));
+  return r;
+}
+
+Result result_of(const exp::CellResult& cell) {
+  Result r;
+  const auto& v = cell.values;
+  for (std::size_t k = 1; k < v.size(); ++k) {
+    (static_cast<double>(k) <= v[0] ? r.rate_mbps : r.rtt_ms).add(v[k]);
+  }
   return r;
 }
 
@@ -54,27 +67,28 @@ int main() {
   std::vector<exp::ScenarioSpec> specs;
   for (const auto& s : schemes) specs.push_back(make_spec(s, duration));
 
-  const auto collected = exp::run_scenarios<Result>(specs, collect);
+  const auto cells = exp::run_sweep(specs, collect);
   std::map<std::string, Result> results;
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    results.emplace(schemes[i], collected[i]);
+    results.emplace(schemes[i], result_of(cells[i]));
   }
 
   for (auto& [s, r] : results) {
     exp::print_cdf("fig09,rate", s, r.rate_mbps);
     exp::print_cdf("fig09,rtt", s, r.rtt_ms);
     row("fig09", "summary_" + s,
-        {r.rate_mbps.mean(), r.rtt_ms.median(), r.rtt_ms.mean()});
+        {mean_of(r.rate_mbps), quantile(r.rtt_ms, 0.5), mean_of(r.rtt_ms)});
   }
 
   const auto& nim = results.at("nimbus");
   const auto& cub = results.at("cubic");
   const auto& veg = results.at("vegas");
-  shape_check("fig09", nim.rate_mbps.mean() > 0.7 * cub.rate_mbps.mean(),
+  shape_check("fig09", mean_of(nim.rate_mbps) > 0.7 * mean_of(cub.rate_mbps),
               "nimbus throughput comparable to cubic");
-  shape_check("fig09", nim.rtt_ms.median() < cub.rtt_ms.median() - 15,
+  shape_check("fig09",
+              quantile(nim.rtt_ms, 0.5) < quantile(cub.rtt_ms, 0.5) - 15,
               "nimbus median RTT well below cubic");
-  shape_check("fig09", veg.rate_mbps.mean() < nim.rate_mbps.mean(),
+  shape_check("fig09", mean_of(veg.rate_mbps) < mean_of(nim.rate_mbps),
               "vegas loses throughput relative to nimbus");
   return shape_exit_code();
 }

@@ -4,12 +4,9 @@
 //
 // Declarative form: one ScenarioSpec per scheme (WAN workload at 0.3 load,
 // seed 5, plus a mid-run Cubic phase on flow 900) batched through
-// run_scenarios_cached; collect reduces each run to its per-second rate
-// series (a CellResult vector, memoised under NIMBUS_CACHE) and the
-// in-order result callback prints the rows.  Verified bit-identical to
-// the uncached run_scenarios version it replaces, which was itself
-// verified bit-identical to the imperative make_net / FlowWorkload /
-// add_cubic_cross original.
+// exp::run_sweep; collect reduces each run to its per-second rate series
+// (a CellResult vector, memoised under NIMBUS_CACHE) and the in-order
+// result callback prints the rows.
 #include "common.h"
 
 using namespace nimbus;
@@ -50,7 +47,7 @@ int main() {
   for (const auto& s : schemes) specs.push_back(spec_for(s, duration));
 
   std::vector<double> means(specs.size(), 0.0);
-  exp::run_scenarios_cached(
+  exp::run_sweep(
       specs,
       [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
         return exp::CellResult::vec(

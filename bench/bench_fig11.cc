@@ -4,11 +4,9 @@
 // Scatter of protagonist throughput vs mean delay per scheme.
 //
 // Declarative form: one ScenarioSpec per (scheme, bitrate) cell with a
-// CrossSpec::kVideo entry, batched through run_scenarios_cached; collect
+// CrossSpec::kVideo entry, batched through exp::run_sweep; collect
 // reduces each run to its (rate, delay) pair (a CellResult, memoised under
-// NIMBUS_CACHE).  Verified bit-identical to the uncached run_scenarios
-// version it replaces, which was itself verified bit-identical to the
-// imperative make_net / VideoSource original.
+// NIMBUS_CACHE).
 #include "common.h"
 
 #include <map>
@@ -57,7 +55,7 @@ int main() {
   }
 
   std::map<std::string, Point> p1080, p4k;
-  exp::run_scenarios_cached(
+  exp::run_sweep(
       specs,
       [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
         const auto s = exp::summarize_flow(run.built.net->recorder(), 1,
@@ -66,7 +64,7 @@ int main() {
       },
       {},
       [&](std::size_t i, exp::CellResult& r) {
-        Point p{r.values[0], r.values[1]};
+        Point p{r.value(0), r.value(1)};
         const auto& scheme = schemes[i / 2];
         if (i % 2 == 0) {
           p1080[scheme] = p;

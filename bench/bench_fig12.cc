@@ -4,8 +4,7 @@
 //
 // Declarative form: one ScenarioSpec with the heavy-tailed workload
 // enabled; the eta series comes from the run's standard smoothed-eta log
-// and the workload handle from the BuiltScenario.  Verified byte-identical
-// to the imperative version it replaces.
+// and the workload handle from the BuiltScenario.
 #include <array>
 
 #include "common.h"
@@ -92,7 +91,7 @@ int main() {
   spec.workload.seed = 4242;
 
   std::printf("fig12,second,elastic_fraction,eta,mode_competitive\n");
-  const auto results = exp::run_scenarios_cached(
+  const auto results = exp::run_sweep(
       {spec}, collect, {},
       [&](std::size_t, exp::CellResult& r) {
         for (std::size_t j = 2; j + 3 < r.values.size(); j += 4) {

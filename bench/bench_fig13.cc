@@ -3,9 +3,8 @@
 // losing throughput; the benefit shrinks at high load.
 //
 // Declarative form: one ScenarioSpec per (load, scheme) cell batched
-// through the ParallelRunner; rows print per load group from the in-order
-// result callback.  Verified byte-identical to the imperative version it
-// replaces.
+// through exp::run_sweep; rows print per load group from the in-order
+// result callback.
 #include "common.h"
 
 using namespace nimbus;
@@ -38,10 +37,12 @@ exp::ScenarioSpec make_spec(const std::string& scheme, double load,
   return spec;
 }
 
-Point collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+// Cell layout: [mean_rate_mbps, median_rtt_ms].
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const auto s = exp::summarize_flow(run.built.net->recorder(), 1,
                                      from_sec(10), spec.duration);
-  return {s.mean_rate_mbps, s.median_rtt_ms};
+  return exp::CellResult::vec({s.mean_rate_mbps, s.median_rtt_ms});
 }
 
 }  // namespace
@@ -65,9 +66,10 @@ int main() {
   // The load-0.5 shape check prints between the two load groups, exactly
   // where the hand-rolled loop emitted it.
   std::vector<Point> group;
-  exp::run_scenarios<Point>(
+  exp::run_sweep(
       specs, collect, {},
-      [&](std::size_t i, Point& p) {
+      [&](std::size_t i, exp::CellResult& r) {
+        const Point p{r.value(0), r.value(1)};
         const double load = loads[i / 4];
         row("fig13", util::format_num(load) + "," + labels[i % 4],
             {p.mean_rate, p.median_rtt});

@@ -6,9 +6,8 @@
 //        Copa's accuracy collapses with RTT ratio; Nimbus's barely drops.
 //
 // Declarative form: every cell is a (nimbus accuracy_scenario, copa
-// ScenarioSpec with log_copa_mode) pair batched through the
-// ParallelRunner; both are scored with score_accuracy.  Verified
-// byte-identical to the imperative copa_accuracy version it replaces.
+// ScenarioSpec with log_copa_mode) pair batched through exp::run_sweep;
+// both are scored with score_accuracy.
 #include "common.h"
 
 using namespace nimbus;
@@ -91,7 +90,7 @@ int main() {
   double nim_hi = 0, copa_hi = 0;
   double nim_r4 = 0, copa_r4 = 0;
   double nim_pending = 0;
-  exp::run_scenarios_cached(
+  exp::run_sweep(
       specs, collect, {},
       [&](std::size_t i, exp::CellResult& r) {
         const double acc = r.value();

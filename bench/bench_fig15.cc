@@ -3,9 +3,8 @@
 // cross traffic.  Accuracy is high across the whole range.
 //
 // Declarative form: three accuracy_scenario specs per RTT ratio batched
-// through the ParallelRunner; rows print per ratio from the in-order
-// result callback.  Verified byte-identical to the run_accuracy loop it
-// replaces.
+// through exp::run_sweep; rows print per ratio from the in-order result
+// callback.
 #include "common.h"
 
 using namespace nimbus;
@@ -26,7 +25,7 @@ int main() {
   const double mu = 96e6;
   // PR 4 widened each (ratio, mix) cell from one run to the mean of
   // kReps runs (the paper reports accuracy aggregates; the
-  // ParallelRunner absorbs the extra cells on multicore hosts).  Rep 0
+  // sweep runner absorbs the extra cells on multicore hosts).  Rep 0
   // keeps the historical spec; later reps re-seed the scenario *base*
   // seed, which re-derives the protagonist Nimbus and Poisson streams —
   // the cross-flow seed alone would be a no-op, since the elastic cross
@@ -71,7 +70,7 @@ int main() {
   double worst_pure = 1.0, worst_mix = 1.0;
   std::vector<double> cell;  // kReps accuracies of the current cell
   std::vector<double> trio;  // per-cell means of the current ratio
-  exp::run_scenarios_cached(
+  exp::run_sweep(
       specs, collect, {},
       [&](std::size_t i, exp::CellResult& acc) {
         cell.push_back(acc.value());

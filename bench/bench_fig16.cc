@@ -4,10 +4,8 @@
 // in delay mode.
 //
 // Declarative form: four CrossSpec::kNimbus entries (no protagonist) in
-// one ScenarioSpec; the role probe is scheduled through the run_scenarios
-// setup hook against BuiltScenario::nimbus_cross.  Verified byte-identical
-// to the imperative version it replaces.
-#include <array>
+// one ScenarioSpec; the role probe is scheduled through the run_sweep
+// setup hook against BuiltScenario::nimbus_cross.
 #include <functional>
 
 #include "common.h"
@@ -17,9 +15,10 @@ using namespace nimbus::bench;
 
 int main() {
   const double mu = 96e6;
-  const bool full = full_run();
-  const TimeNs stagger = from_sec(full ? 120 : 30);
-  const TimeNs life = from_sec(full ? 480 : 120);
+  // Flows start `stagger` apart and live 4 * stagger: the run lasts
+  // 7 * stagger, which is how collect recovers the timeline.
+  const TimeNs stagger = from_sec(full_run() ? 120 : 30);
+  const TimeNs life = stagger * 4;
   const TimeNs end = stagger * 3 + life;
 
   exp::ScenarioSpec spec;
@@ -38,7 +37,9 @@ int main() {
   }
 
   // Sample roles over time on the simulation loop (scheduled pre-run via
-  // the setup hook; one scenario, so the captured state is unshared).
+  // the setup hook).  pulser_count is the one cell's per-run scratch: it
+  // holds only what the run produced, so the cell is still a function of
+  // its spec, as the cache requires.
   util::TimeSeries pulser_count;
   std::function<void()> probe;
   const exp::ScenarioSetup setup = [&](const exp::ScenarioSpec&,
@@ -56,18 +57,28 @@ int main() {
     net->loop().schedule_in(from_ms(500), probe);
   };
 
-  struct Result {
-    // t, f1..f4 mbps, qdelay_ms, pulsers
-    std::vector<std::array<double, 7>> seconds;
-    double jain, mean_pulsers, qd;
-  };
-  const TimeNs step = from_sec(full ? 4 : 1);
-  const auto collect = [&](const exp::ScenarioSpec&,
-                           exp::ScenarioRun& run) {
+  // Cell layout: [jain, mean_pulsers, qdelay_ms, then per step: t, f1..f4
+  // mbps, qdelay_ms, pulsers].  Steps are stagger / 30 wide (1 s quick,
+  // 4 s full).
+  const auto collect = [&pulser_count](const exp::ScenarioSpec& spec,
+                                       exp::ScenarioRun& run) {
+    const TimeNs end = spec.duration;
+    const TimeNs stagger = end / 7, life = stagger * 4;
+    const TimeNs step = stagger / 30;
     auto& rec = run.built.net->recorder();
-    Result r{};
+    // Fairness in the middle window where flows 1-3 are all active.
+    const TimeNs a = stagger * 2 + from_sec(10), b = stagger * 2 + life / 3;
+    std::vector<double> rates;
+    for (sim::FlowId id : {1u, 2u, 3u}) {
+      rates.push_back(rec.delivered(id).rate_bps(a, b));
+    }
+    exp::CellResult r = exp::CellResult::vec(
+        {util::jain_fairness(rates),
+         pulser_count.mean_in(from_sec(20), end).value_or(0.0),
+         rec.probed_queue_delay().mean_in(from_sec(20), end).value_or(0.0)});
     for (TimeNs t = step; t < end; t += step) {
-      r.seconds.push_back(
+      r.values.insert(
+          r.values.end(),
           {to_sec(t), rec.delivered(1).rate_bps(t - step, t) / 1e6,
            rec.delivered(2).rate_bps(t - step, t) / 1e6,
            rec.delivered(3).rate_bps(t - step, t) / 1e6,
@@ -75,42 +86,35 @@ int main() {
            rec.probed_queue_delay().mean_in(t - step, t).value_or(0.0),
            pulser_count.mean_in(t - step, t).value_or(0.0)});
     }
-    // Fairness in the middle window where flows 1-3 are all active.
-    const TimeNs a = stagger * 2 + from_sec(10), b = stagger * 2 + life / 3;
-    std::vector<double> rates;
-    for (sim::FlowId id : {1u, 2u, 3u}) {
-      rates.push_back(rec.delivered(id).rate_bps(a, b));
-    }
-    r.jain = util::jain_fairness(rates);
-    r.mean_pulsers = pulser_count.mean_in(from_sec(20), end).value_or(0.0);
-    r.qd =
-        rec.probed_queue_delay().mean_in(from_sec(20), end).value_or(0.0);
     return r;
   };
 
   std::printf("fig16,second,f1,f2,f3,f4,qdelay_ms,pulsers\n");
-  const auto results = exp::run_scenarios<Result>(
+  const auto results = exp::run_sweep(
       {spec}, collect, {},
-      [&](std::size_t, Result& r) {
-        for (const auto& sec : r.seconds) {
-          row("fig16", util::format_num(sec[0]),
-              {sec[1], sec[2], sec[3], sec[4], sec[5], sec[6]});
+      [&](std::size_t, exp::CellResult& r) {
+        const auto& v = r.values;
+        for (std::size_t k = 3; k + 7 <= v.size(); k += 7) {
+          row("fig16", util::format_num(v[k]),
+              {v[k + 1], v[k + 2], v[k + 3], v[k + 4], v[k + 5], v[k + 6]});
         }
       },
       setup);
 
-  const Result& r = results[0];
-  row("fig16", "summary", {r.jain, r.mean_pulsers, r.qd});
-  shape_check("fig16", r.jain > 0.8,
+  const double jain = results[0].value(0);
+  const double mean_pulsers = results[0].value(1);
+  const double qd = results[0].value(2);
+  row("fig16", "summary", {jain, mean_pulsers, qd});
+  shape_check("fig16", jain > 0.8,
               "concurrent nimbus flows share fairly");
   // Known WARN (quick and full mode): around each arrival/departure our
   // election protocol leaves two pulsers active for longer than the
   // paper's, so the 500 ms role samples average just over the 1.5 bar — a
   // known reproduction gap of the simplified multi-flow protocol, tracked
   // in ROADMAP.md rather than failed under NIMBUS_SHAPE_STRICT.
-  shape_check_known_warn("fig16", r.mean_pulsers <= 1.5,
+  shape_check_known_warn("fig16", mean_pulsers <= 1.5,
                          "roughly one pulser at a time");
-  shape_check("fig16", r.qd < 60,
+  shape_check("fig16", qd < 60,
               "delays stay well below the 100 ms buffer");
   return shape_exit_code();
 }

@@ -4,12 +4,9 @@
 // Cubic collapses but Nimbus keeps throughput.
 //
 // Declarative form: every (path, scheme) cell is a ScenarioSpec from
-// path_scenario() batched through run_scenarios_cached; collect reduces
-// each run to its (rate, delay) CellResult, memoised under NIMBUS_CACHE.
-// Rows print in spec order from the in-order result callback.  Verified
-// bit-identical (cold and warm) to the uncached run_scenarios version it
-// replaces, which was itself verified bit-identical to the run_path()
-// loop before that.
+// path_scenario() batched through exp::run_sweep; collect reduces each
+// run to its (rate, delay) CellResult, memoised under NIMBUS_CACHE.  Rows
+// print in spec order from the in-order result callback.
 #include "common.h"
 
 #include <array>
@@ -38,10 +35,10 @@ int main() {
   std::printf("fig18,path,scheme,rate_mbps,mean_rtt_ms\n");
   // Cacheable cell layout: [mean_rate_mbps, mean_rtt_ms].
   std::map<std::string, std::map<std::string, std::array<double, 2>>> all;
-  exp::run_scenarios_cached(
+  exp::run_sweep(
       specs,
       [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-        // Skip the first 10 s of warmup, exactly as exp::run_path does.
+        // Skip the first 10 s of warmup.
         const auto s = exp::summarize_flow(run.built.net->recorder(), 1,
                                            from_sec(10), spec.duration);
         return exp::CellResult::vec({s.mean_rate_mbps, s.mean_rtt_ms});

@@ -3,9 +3,8 @@
 // below Cubic/BBR.  CDFs of per-path mean rate and RTT per scheme.
 //
 // Declarative form: every (scheme, path) cell is a path_scenario spec
-// batched through the ParallelRunner; per-scheme CDFs print as each
-// scheme's paths complete, in spec order.  Verified byte-identical to the
-// run_path loop it replaces.
+// batched through exp::run_sweep; per-scheme CDFs print as each scheme's
+// paths complete, in spec order.
 #include <map>
 
 #include "common.h"
@@ -23,7 +22,7 @@ int main() {
   }
   // PR 4 widened the quick-mode aggregate from 8 paths x 1 seed to 12
   // paths x 2 seeds per scheme (the paper reports per-path aggregate CDFs;
-  // the ParallelRunner absorbs the extra cells on multicore hosts).  Seed
+  // the sweep runner absorbs the extra cells on multicore hosts).  Seed
   // 3 keeps the historical first sample.  Quick-mode golden output
   // re-baselined deliberately — see CHANGES.md.
   if (!full_run()) paths.resize(std::min<std::size_t>(paths.size(), 12));
@@ -50,10 +49,10 @@ int main() {
   // With a fully merged cache nothing is missing and the output is
   // byte-identical to an unsharded run.
   std::map<std::string, int> missing;
-  exp::run_scenarios_cached(
+  exp::run_sweep(
       specs,
       [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-        // Skip the first 10 s of warmup, exactly as exp::run_path does.
+        // Skip the first 10 s of warmup.
         // Cacheable layout: [mean_rate_mbps, mean_rtt_ms] — the two
         // FlowSummary fields this bench consumes.
         const exp::FlowSummary s = exp::summarize_flow(

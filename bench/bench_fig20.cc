@@ -6,8 +6,7 @@
 //
 // Declarative form: one ScenarioSpec per (scheme, run index) cell — the
 // short-flow workload lives in the spec's FlowWorkload config — batched
-// through the ParallelRunner.  Verified byte-identical to the imperative
-// version it replaces.
+// through exp::run_sweep.
 #include "common.h"
 
 using namespace nimbus;
@@ -37,7 +36,7 @@ exp::ScenarioSpec make_spec(const std::string& scheme, double load,
 int main() {
   const TimeNs duration = dur(60, 25);
   // PR 4 widened the quick-mode scatter from 6 to 10 runs per scheme (the
-  // paper reports an aggregate over many runs; the ParallelRunner absorbs
+  // paper reports an aggregate over many runs; the sweep runner absorbs
   // the extra cells on multicore hosts).  Quick-mode golden output
   // re-baselined deliberately — see CHANGES.md.
   const int runs = full_run() ? 20 : 10;
@@ -52,25 +51,26 @@ int main() {
   }
 
   util::OnlineStats cubic_rate, cubic_rtt, bd_rate, bd_rtt;
-  exp::run_scenarios<exp::FlowSummary>(
+  // Cell layout: [mean_rate_mbps, mean_rtt_ms].
+  exp::run_sweep(
       specs,
       [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-        return exp::summarize_flow(run.built.net->recorder(), 1,
-                                   from_sec(10), spec.duration);
+        const auto s = exp::summarize_flow(run.built.net->recorder(), 1,
+                                           from_sec(10), spec.duration);
+        return exp::CellResult::vec({s.mean_rate_mbps, s.mean_rtt_ms});
       },
       {},
-      [&](std::size_t i, exp::FlowSummary& s) {
+      [&](std::size_t i, exp::CellResult& r) {
         const int run_idx = static_cast<int>(i / 2);
+        const double rate = r.value(0), rtt = r.value(1);
         if (i % 2 == 0) {
-          row("fig20", "cubic," + std::to_string(run_idx),
-              {s.mean_rate_mbps, s.mean_rtt_ms});
-          cubic_rate.add(s.mean_rate_mbps);
-          cubic_rtt.add(s.mean_rtt_ms);
+          row("fig20", "cubic," + std::to_string(run_idx), {rate, rtt});
+          cubic_rate.add(rate);
+          cubic_rtt.add(rtt);
         } else {
-          row("fig20", "basic-delay," + std::to_string(run_idx),
-              {s.mean_rate_mbps, s.mean_rtt_ms});
-          bd_rate.add(s.mean_rate_mbps);
-          bd_rtt.add(s.mean_rtt_ms);
+          row("fig20", "basic-delay," + std::to_string(run_idx), {rate, rtt});
+          bd_rate.add(rate);
+          bd_rtt.add(rtt);
         }
       });
 

@@ -4,10 +4,10 @@
 // but sacrifices its own rate.
 //
 // Declarative form: one ScenarioSpec per scheme (workload in the spec),
-// batched through the ParallelRunner; the per-bucket p95 map is reduced
-// from the recorder's completions on the worker.  Verified byte-identical
-// to the imperative version it replaces.
-#include <map>
+// batched through exp::run_sweep; the per-bucket p95 FCTs are reduced from
+// the recorder's completions on the worker.
+#include <cmath>
+#include <iterator>
 
 #include "common.h"
 
@@ -16,12 +16,15 @@ using namespace nimbus::bench;
 
 namespace {
 
-const char* bucket_name(std::int64_t bytes) {
-  if (bytes <= 15e3) return "15KB";
-  if (bytes <= 150e3) return "150KB";
-  if (bytes <= 1.5e6) return "1.5MB";
-  if (bytes <= 15e6) return "15MB";
-  return "150MB";
+constexpr const char* kBuckets[] = {"15KB", "150KB", "1.5MB", "15MB",
+                                    "150MB"};
+
+std::size_t bucket_of(std::int64_t bytes) {
+  if (bytes <= 15e3) return 0;
+  if (bytes <= 150e3) return 1;
+  if (bytes <= 1.5e6) return 2;
+  if (bytes <= 15e6) return 3;
+  return 4;
 }
 
 exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
@@ -36,17 +39,20 @@ exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   return spec;
 }
 
-std::map<std::string, double> collect(const exp::ScenarioSpec&,
-                                      exp::ScenarioRun& run) {
-  std::map<std::string, util::Percentiles> byBucket;
+// Cell layout: the p95 FCT (s) per size bucket, in kBuckets order; NaN
+// for a bucket with fewer than 5 completions.
+exp::CellResult collect(const exp::ScenarioSpec&, exp::ScenarioRun& run) {
+  util::Percentiles by_bucket[std::size(kBuckets)];
   for (const auto& c : run.built.net->recorder().completions()) {
-    byBucket[bucket_name(c.bytes)].add(to_sec(c.fct));
+    by_bucket[bucket_of(c.bytes)].add(to_sec(c.fct));
   }
-  std::map<std::string, double> p95;
-  for (auto& [name, p] : byBucket) {
-    if (p.count() >= 5) p95[name] = p.percentile(0.95);
+  exp::CellResult r;
+  for (const util::Percentiles& p : by_bucket) {
+    r.values.push_back(p.count() >= 5
+                           ? p.percentile(0.95)
+                           : std::numeric_limits<double>::quiet_NaN());
   }
-  return p95;
+  return r;
 }
 
 }  // namespace
@@ -62,28 +68,21 @@ int main() {
   std::vector<exp::ScenarioSpec> specs;
   for (const auto& s : schemes) specs.push_back(make_spec(s, duration));
 
-  const auto per_scheme =
-      exp::run_scenarios<std::map<std::string, double>>(specs, collect);
-  std::map<std::string, std::map<std::string, double>> all;
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    all[schemes[i]] = per_scheme[i];
-  }
+  // schemes[0] is nimbus, the normalization reference.
+  const auto cells = exp::run_sweep(specs, collect);
 
   bool bbr_worse_somewhere = false;
   bool nimbus_not_worst_short = true;
-  for (const auto& bucket : {"15KB", "150KB", "1.5MB", "15MB", "150MB"}) {
-    const auto nim = all["nimbus"].find(bucket);
-    if (nim == all["nimbus"].end()) continue;
-    for (const auto& s : schemes) {
-      const auto it = all[s].find(bucket);
-      if (it == all[s].end()) continue;
-      row("fig21", std::string(bucket) + "," + s,
-          {it->second, it->second / nim->second});
-      if (s == "bbr" && it->second > 1.2 * nim->second) {
-        bbr_worse_somewhere = true;
-      }
-      if (s == "cubic" && std::string(bucket) == "15KB" &&
-          it->second < nim->second * 0.8) {
+  for (std::size_t b = 0; b < std::size(kBuckets); ++b) {
+    const double nim = cells[0].value(b);
+    if (std::isnan(nim)) continue;
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      const std::string& s = schemes[i];
+      const double p95 = cells[i].value(b);
+      if (std::isnan(p95)) continue;
+      row("fig21", std::string(kBuckets[b]) + "," + s, {p95, p95 / nim});
+      if (s == "bbr" && p95 > 1.2 * nim) bbr_worse_somewhere = true;
+      if (s == "cubic" && b == 0 && p95 < nim * 0.8) {
         nimbus_not_worst_short = false;
       }
     }

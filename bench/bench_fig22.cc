@@ -4,8 +4,7 @@
 // status quo against BBR's known unfairness).
 //
 // Declarative form: one ScenarioSpec per (scheme, buffer) cell batched
-// through the ParallelRunner.  Verified byte-identical to the imperative
-// version it replaces.
+// through exp::run_sweep.
 #include "common.h"
 
 using namespace nimbus;
@@ -41,7 +40,7 @@ int main() {
 
   bool tracks = true;
   double nim_pending = 0;
-  exp::run_scenarios_cached(
+  exp::run_sweep(
       specs,
       [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
         return exp::CellResult::scalar(

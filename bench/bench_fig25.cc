@@ -4,9 +4,8 @@
 // stays high across the grid.
 //
 // Declarative form: every factor combination is an accuracy_scenario spec
-// batched through the ParallelRunner; rows print in grid order from the
-// in-order result callback.  Verified byte-identical to the run_accuracy
-// loop it replaces.
+// batched through exp::run_sweep; rows print in grid order from the
+// in-order result callback.
 #include "common.h"
 
 using namespace nimbus;
@@ -14,9 +13,11 @@ using namespace nimbus::bench;
 
 namespace {
 
-double collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-  // Ground truth (elastic cross present) is derived from the spec.
-  return exp::score_accuracy(run, spec);
+// Cell layout: [accuracy].  Ground truth (elastic cross present) is
+// derived from the spec.
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
+  return exp::CellResult::scalar(exp::score_accuracy(run, spec));
 }
 
 }  // namespace
@@ -58,12 +59,11 @@ int main() {
   }
 
   util::OnlineStats overall;
-  exp::run_scenarios<double>(
-      specs, collect, {},
-      [&](std::size_t i, double& acc) {
-        row("fig25", labels[i], {acc});
-        overall.add(acc);
-      });
+  exp::run_sweep(specs, collect, {},
+                 [&](std::size_t i, exp::CellResult& r) {
+                   row("fig25", labels[i], {r.value()});
+                   overall.add(r.value());
+                 });
   row("fig25", "summary_mean_accuracy", {overall.mean()});
   shape_check("fig25", overall.mean() > 0.7,
               "mean accuracy across the factor grid stays high");

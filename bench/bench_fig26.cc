@@ -5,8 +5,7 @@
 // classify it elastic.  CDF of eta at both frequencies.
 //
 // Declarative form: one ScenarioSpec per pulse frequency; raw-eta samples
-// come from the run's standard detector-gated eta_raw log.  Verified
-// byte-identical to the imperative version it replaces.
+// come from the run's standard detector-gated eta_raw log.
 #include "common.h"
 
 using namespace nimbus;
@@ -49,7 +48,7 @@ int main() {
   std::printf("fig26,fp_hz,eta,cdf\n");
   const std::vector<exp::ScenarioSpec> specs = {make_spec(5.0, duration),
                                                 make_spec(2.0, duration)};
-  const auto cells = exp::run_scenarios_cached(specs, collect);
+  const auto cells = exp::run_sweep(specs, collect);
   util::Percentiles at5, at2;
   at5.add_all(cells[0].values);
   at2.add_all(cells[1].values);

@@ -17,7 +17,7 @@
 //     delay noise;
 //   * periodic link flaps (blackout `d` seconds out of every 10) of
 //     increasing duration.
-// Every cell runs through exp::run_scenarios_cached under an explicit
+// Every cell runs through exp::run_sweep under an explicit
 // simulated-event watchdog budget, so a pathological cell reports a
 // failed (nan) row instead of hanging the suite — and a shape check pins
 // that no cell actually trips it.
@@ -167,9 +167,9 @@ int main() {
   const exp::RunBudget budget{kCellEventBudget, 0.0};
   std::printf("impair,kind_cross,param,accuracy\n");
   int watchdog_cells = 0;
-  const auto results = exp::run_scenarios_cached(
+  const auto results = exp::run_sweep(
       specs,
-      [&](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+      [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
         return exp::CellResult::scalar(exp::score_accuracy(run, spec));
       },
       {},
@@ -185,6 +185,7 @@ int main() {
         row("impair", cells[i].kind + "_" + cells[i].cross,
             {cells[i].param, r.value()});
       },
+      nullptr,
       nullptr, nullptr, &budget);
 
   // --- shape checks -------------------------------------------------------

@@ -733,7 +733,7 @@ BENCHMARK(BM_CcDispatchVirtual);
 // cache costs one small-file read + checksum instead of a network build
 // and event-loop run.  Cold runs the real simulation (cache off); warm
 // serves the identical cells from a pre-populated cache directory.  Both
-// run the same run_scenarios_cached entry point single-threaded, so the
+// run the same run_sweep entry point single-threaded, so the
 // ratio is the per-cell memoisation speedup the suite-level wall-clock
 // numbers in BENCH_PR7.json are built from.  Items = sweep cells.
 std::vector<exp::ScenarioSpec> sweep_cell_specs() {
@@ -767,14 +767,14 @@ void BM_SweepCellWarmCache(benchmark::State& state) {
   const exp::ShardConfig no_shard;
   {
     exp::ResultCache warmup(dir.string(), exp::ResultCache::Mode::kReadWrite);
-    exp::run_scenarios_cached(specs, sweep_cell_collect, {/*jobs=*/1, false},
-                              nullptr, &warmup, &no_shard);
+    exp::run_sweep(specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr,
+                   nullptr, &warmup, &no_shard);
   }
   exp::ResultCache cache(dir.string(), exp::ResultCache::Mode::kRead);
   for (auto _ : state) {
-    const auto cells = exp::run_scenarios_cached(
-        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, &cache,
-        &no_shard);
+    const auto cells = exp::run_sweep(
+        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, nullptr,
+        &cache, &no_shard);
     benchmark::DoNotOptimize(cells);
   }
   if (cache.stats().misses > 0) {
@@ -791,9 +791,9 @@ void BM_SweepCellColdCompute(benchmark::State& state) {
   exp::ResultCache off("", exp::ResultCache::Mode::kOff);
   const exp::ShardConfig no_shard;
   for (auto _ : state) {
-    const auto cells = exp::run_scenarios_cached(
-        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, &off,
-        &no_shard);
+    const auto cells = exp::run_sweep(
+        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, nullptr,
+        &off, &no_shard);
     benchmark::DoNotOptimize(cells);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -2,7 +2,7 @@
 // For each cross-traffic class, run Nimbus with a fixed (detection-only)
 // configuration and report the elastic-classified fraction of time.
 //
-// One ScenarioSpec per traffic class, run through the ParallelRunner.
+// One ScenarioSpec per traffic class, run through exp::run_sweep.
 #include "common.h"
 
 using namespace nimbus;
@@ -72,11 +72,11 @@ int main() {
   for (const auto& s : specs) {
     scenario_specs.push_back(make_spec(s.klass, duration));
   }
-  const auto fractions = exp::run_scenarios_cached(
+  const auto fractions = exp::run_sweep(
       scenario_specs,
-      [&](const exp::ScenarioSpec&, exp::ScenarioRun& run) {
+      [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
         return exp::CellResult::scalar(
-            run.mode_log->fraction_competitive(from_sec(10), duration));
+            run.mode_log->fraction_competitive(from_sec(10), spec.duration));
       },
       {},
       [&](std::size_t i, exp::CellResult& frac) {

@@ -38,10 +38,9 @@
 // Trace files resolve against NIMBUS_TRACE_DIR (default: data/traces,
 // i.e. run from the repo root like scripts/bench_suite.sh does).
 //
-// Cells run through run_scenarios_cached: every score is derivable from
-// the spec alone, so each (spec, seed) cell memoises under NIMBUS_CACHE
-// (trace cells hash the trace file's bytes into the key).  Verified
-// byte-identical, cold and warm, to the uncached runner.map version.
+// Cells run through exp::run_sweep: every score is derivable from the
+// spec alone, so each (spec, seed) cell memoises under NIMBUS_CACHE
+// (trace cells hash the trace file's bytes into the key).
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -106,7 +105,7 @@ struct Cell {
 // Cacheable cell layout: [accuracy, z_err].  Everything the score needs
 // is derivable from the spec alone (the Poisson cross rate IS the true z,
 // and the µ(t) schedule rebuilds from the LinkSpec), which is what makes
-// this bench eligible for run_scenarios_cached.
+// it safe to cache under run_sweep.
 exp::CellResult collect(const exp::ScenarioSpec& spec,
                         exp::ScenarioRun& run) {
   const double accuracy = exp::score_accuracy(run, spec);
@@ -166,7 +165,7 @@ int main() {
   std::vector<exp::ScenarioSpec> specs;
   specs.reserve(cells.size());
   for (const Cell& c : cells) specs.push_back(c.spec);
-  const auto results = exp::run_scenarios_cached(
+  const auto results = exp::run_sweep(
       specs, collect, {},
       // Fires in cell order as the completed prefix grows.
       [&](std::size_t i, exp::CellResult& r) {

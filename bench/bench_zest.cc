@@ -3,9 +3,8 @@
 // under several cross-traffic patterns (CBR, Poisson at various rates).
 //
 // Declarative form: one ScenarioSpec per (kind, rate) cell batched through
-// the ParallelRunner; z-hat comes from the run's standard z log, windowed
-// into 500 ms means on the worker.  Verified byte-identical to the
-// imperative set_status_handler version it replaces.
+// exp::run_sweep; z-hat comes from the run's standard z log, windowed into
+// 500 ms means on the worker.
 #include "common.h"
 
 using namespace nimbus;
@@ -32,18 +31,19 @@ exp::ScenarioSpec make_spec(const std::string& kind, double cross_rate,
   return spec;
 }
 
-// Relative |z-hat - true| errors over 500 ms windows (smooths the pulse-
-// period wobble the way the paper's evaluation does).  The true cross
-// rate is the spec's single source entry.
-util::Percentiles collect(const exp::ScenarioSpec& spec,
-                          exp::ScenarioRun& run) {
+// Cell layout: the relative |z-hat - true| errors over consecutive 500 ms
+// windows from 11 s on (smooths the pulse-period wobble the way the
+// paper's evaluation does).  The true cross rate is the spec's single
+// source entry.
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const double cross_rate = spec.cross[0].rate_bps;
-  util::Percentiles err;
+  exp::CellResult err;
   for (TimeNs t = from_sec(11); t + from_ms(500) < spec.duration;
        t += from_ms(500)) {
     const double est =
         run.z_log->mean_in(t, t + from_ms(500)).value_or(0.0);
-    err.add(std::abs(est - cross_rate) / cross_rate);
+    err.values.push_back(std::abs(est - cross_rate) / cross_rate);
   }
   return err;
 }
@@ -68,19 +68,21 @@ int main() {
   }
 
   util::Percentiles err;
-  exp::run_scenarios<util::Percentiles>(
+  exp::run_sweep(
       specs, collect, {},
-      [&](std::size_t i, util::Percentiles& local) {
-        for (double e : local.samples()) err.add(e);
+      [&](std::size_t i, exp::CellResult& r) {
+        util::Percentiles local;
+        local.add_all(r.values);
+        err.add_all(r.values);
         row("zest",
             cells[i].kind + "," + util::format_num(cells[i].rate / 1e6),
-            {local.median(), local.percentile(0.95)});
+            {quantile(local, 0.5), quantile(local, 0.95)});
       });
 
-  row("zest", "summary_overall", {err.median(), err.percentile(0.95)});
-  shape_check("zest", err.median() < 0.05,
+  row("zest", "summary_overall", {quantile(err, 0.5), quantile(err, 0.95)});
+  shape_check("zest", quantile(err, 0.5) < 0.05,
               "median relative error of z-hat is a few percent");
-  shape_check("zest", err.percentile(0.95) < 0.15,
+  shape_check("zest", quantile(err, 0.95) < 0.15,
               "p95 relative error stays small");
   return shape_exit_code();
 }

@@ -5,12 +5,13 @@
 // NIMBUS_BENCH_FULL=1 switches to full-length runs; the default shortens
 // durations/seeds so `for b in build/bench/*; do $b; done` stays tractable.
 //
-// Network assembly lives exclusively in the scenario layer: benches
-// describe experiments declaratively as ScenarioSpecs (exp/scenario.h) and
-// batch them through the ParallelRunner (exp/runner.h) for multi-core
-// sweeps.  The imperative builders (make_net / add_nimbus / add_*_cross)
-// are no longer re-exported here — exp::build_network is the only way to
-// assemble a network.
+// Benches describe experiments declaratively as ScenarioSpecs
+// (exp/scenario.h) and run every sweep through exp::run_sweep
+// (exp/runner.h): multi-core, cached under NIMBUS_CACHE, sharded under
+// NIMBUS_SHARD, watchdogged, and recorded in a manifest under NIMBUS_OBS.
+// Each bench's collect reduces a run to a flat exp::CellResult, with a
+// comment above it giving the value layout.  A sharded-out or failed cell
+// carries no values (value(i) reads NaN): rows derived from it print nan.
 //
 // SHAPE-CHECK exit discipline: shape_check prints PASS/WARN exactly as
 // before (bench stdout is golden-diffed), and every bench returns
@@ -23,20 +24,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cc/cubic.h"
-#include "core/nimbus.h"
-#include "exp/ground_truth.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
-#include "exp/schemes.h"
 #include "exp/summary.h"
-#include "sim/network.h"
-#include "traffic/flow_workload.h"
-#include "traffic/raw_sources.h"
 #include "util/csv.h"
 
 namespace nimbus::bench {
@@ -113,6 +106,19 @@ inline int shape_exit_code() {
     return 1;
   }
   return 0;
+}
+
+/// The q-quantile of `p`, or NaN when it is empty: a sharded-out or
+/// failed cell carries no samples, and Percentiles CHECK-fails on empty
+/// input.
+inline double quantile(const util::Percentiles& p, double q) {
+  return p.empty() ? std::numeric_limits<double>::quiet_NaN()
+                   : p.percentile(q);
+}
+
+/// The mean of `p`, or NaN when it is empty (see quantile).
+inline double mean_of(const util::Percentiles& p) {
+  return p.empty() ? std::numeric_limits<double>::quiet_NaN() : p.mean();
 }
 
 inline void row(const std::string& fig, const std::string& label,

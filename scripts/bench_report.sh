@@ -287,10 +287,9 @@ report = {
             if os.environ.get("SUITE_SECS") else None,
         # PR 7, informational: the same suite re-run from a result cache
         # populated moments earlier (NIMBUS_CACHE=read), and the aggregate
-        # cache hit rate over the converted benches during that run.
-        # Benches not yet converted to run_scenarios_cached (and the
-        # non-sweep part of every bench: building, printing, CDF math)
-        # bound the warm wall from below.
+        # cache hit rate over the scenario benches during that run.
+        # The non-sweep part of every bench (building specs, printing,
+        # CDF math) bounds the warm wall from below.
         "bench_suite_quick_warm_wall_seconds":
             float(os.environ["WARM_SECS"])
             if os.environ.get("WARM_SECS") else None,

@@ -25,6 +25,11 @@
 #                 "TIMEOUT <bench>" row, and fails the suite — a hung
 #                 bench can no longer stall CI indefinitely.  Set 0 to
 #                 disable (e.g. full-length local runs under a debugger).
+#   NIMBUS_OBS_DIR   when set (with NIMBUS_OBS=counters|trace), each bench
+#                 writes its artifacts to its own $NIMBUS_OBS_DIR/<bench>/,
+#                 created here.  Sweep manifests are numbered per process
+#                 (manifest-0.jsonl, ...), so benches sharing one directory
+#                 would overwrite each other's.
 #   NIMBUS_SUITE_OUTDIR   when set, each bench's *stdout* is also written
 #                 to $NIMBUS_SUITE_OUTDIR/<bench>.out — stderr (cache
 #                 stats, strict-warn diagnostics) is kept out, so CI can
@@ -75,14 +80,19 @@ TIMEOUT_SEC="${NIMBUS_BENCH_TIMEOUT:-600}"
 FAILED=()
 for b in "${BENCHES[@]}"; do
   name=$(basename "$b")
+  obs_dir=""
+  if [ -n "${NIMBUS_OBS_DIR:-}" ]; then
+    obs_dir="$NIMBUS_OBS_DIR/$name"
+    mkdir -p "$obs_dir"
+  fi
   start=$(date +%s)
   if [ "$TIMEOUT_SEC" != 0 ]; then
-    NIMBUS_SHAPE_STRICT=1 NIMBUS_SHARD="${SHARD}" \
+    NIMBUS_SHAPE_STRICT=1 NIMBUS_SHARD="${SHARD}" NIMBUS_OBS_DIR="$obs_dir" \
       timeout -k 10 "$TIMEOUT_SEC" "$b" \
       >"$STDOUT_TMP" 2>"$STDERR_TMP"
   else
-    NIMBUS_SHAPE_STRICT=1 NIMBUS_SHARD="${SHARD}" "$b" \
-      >"$STDOUT_TMP" 2>"$STDERR_TMP"
+    NIMBUS_SHAPE_STRICT=1 NIMBUS_SHARD="${SHARD}" NIMBUS_OBS_DIR="$obs_dir" \
+      "$b" >"$STDOUT_TMP" 2>"$STDERR_TMP"
   fi
   rc=$?
   secs=$(( $(date +%s) - start ))

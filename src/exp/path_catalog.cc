@@ -109,12 +109,4 @@ ScenarioSpec path_scenario(const std::string& scheme, const PathConfig& path,
   return spec;
 }
 
-FlowSummary run_path(const std::string& scheme, const PathConfig& path,
-                     TimeNs duration, std::uint64_t seed) {
-  const ScenarioSpec spec = path_scenario(scheme, path, duration, seed);
-  const ScenarioRun run = run_scenario(spec);
-  // Skip the first 10 s of warmup in the summary.
-  return summarize_flow(run.built.net->recorder(), 1, from_sec(10), duration);
-}
-
 }  // namespace nimbus::exp

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,14 +12,37 @@
 #include <string>
 #include <thread>
 
+#include "util/check.h"
+
 namespace nimbus::exp {
+
+namespace {
+
+// Runner env knobs: unset or empty keeps `fallback`; any other value must
+// parse completely as a positive number no larger than `max` (a whole one
+// when `whole`), or the process CHECK-fails naming the variable — "4x" is
+// not 4, and "abc" is not "unlimited" or "hardware default".
+double positive_knob(const char* name, double fallback, bool whole,
+                     double max) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || v[0] == '\0') return fallback;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  const bool ok = end != v && *end == '\0' && x > 0.0 && x <= max &&
+                  (!whole || x == std::floor(x));
+  const std::string msg = std::string(name) + " must be a positive " +
+                          (whole ? "integer" : "number") + ", got \"" + v +
+                          "\"";
+  NIMBUS_CHECK_MSG(ok, msg.c_str());
+  return x;
+}
+
+}  // namespace
 
 int resolve_jobs(int jobs) {
   if (jobs > 0) return jobs;
-  if (const char* env = std::getenv("NIMBUS_JOBS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
+  const double env = positive_knob("NIMBUS_JOBS", 0, true, INT_MAX);
+  if (env > 0) return static_cast<int>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -101,14 +126,9 @@ void ParallelRunner::for_each(std::size_t n,
 
 RunBudget cell_budget_from_env() {
   RunBudget b;
-  if (const char* env = std::getenv("NIMBUS_CELL_MAX_EVENTS")) {
-    const long long n = std::atoll(env);
-    if (n > 0) b.max_events = static_cast<std::uint64_t>(n);
-  }
-  if (const char* env = std::getenv("NIMBUS_CELL_WALL_SEC")) {
-    const double s = std::atof(env);
-    if (s > 0.0) b.max_wall_seconds = s;
-  }
+  b.max_events = static_cast<std::uint64_t>(
+      positive_knob("NIMBUS_CELL_MAX_EVENTS", 0, true, 1e18));
+  b.max_wall_seconds = positive_knob("NIMBUS_CELL_WALL_SEC", 0, false, DBL_MAX);
   return b;
 }
 
@@ -184,7 +204,7 @@ void attach_failure_diagnostics(CellResult& r, const ScenarioRun& run,
 
 // -------------------------------------------------------------------------
 // Sweep manifest (JSONL, one row per cell in spec order plus a trailing
-// sweep summary).  Written once per run_scenarios_cached call, after the
+// sweep summary).  Written once per run_sweep call, after the
 // whole map completes, on the calling thread — so the file is identical
 // under any NIMBUS_JOBS (tests diff parallel vs serial byte for byte).
 // -------------------------------------------------------------------------
@@ -225,7 +245,9 @@ void append_json_number(std::string& out, double v) {
 
 /// Manifest files are numbered per process in call order
 /// (manifest-0.jsonl, manifest-1.jsonl, ...): a bench that runs several
-/// sweeps gets one manifest each, deterministically named.
+/// sweeps gets one manifest each, deterministically named.  Processes
+/// must not share a directory (scripts/bench_suite.sh gives each bench
+/// its own $NIMBUS_OBS_DIR/<bench>/).
 int next_manifest_index() {
   static std::atomic<int> n{0};
   return n.fetch_add(1, std::memory_order_relaxed);
@@ -240,10 +262,8 @@ void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
   std::snprintf(path, sizeof(path), "%s/manifest-%d.jsonl", dir.c_str(),
                 next_manifest_index());
   std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "WARNING: cannot write sweep manifest %s\n", path);
-    return;
-  }
+  // Telemetry was asked for: fail loudly, like the trace export.
+  NIMBUS_CHECK_MSG(f != nullptr, "cannot open NIMBUS_OBS_DIR sweep manifest");
   long computed = 0, cached = 0, failed = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const CellResult& r = results[i];
@@ -305,11 +325,12 @@ void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
 
 }  // namespace
 
-std::vector<CellResult> run_scenarios_cached(
+std::vector<CellResult> run_sweep(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
     ParallelRunner::Options opts,
     const std::function<void(std::size_t, CellResult&)>& on_result,
-    ResultCache* cache, const ShardConfig* shard, const RunBudget* budget) {
+    const ScenarioSetup& setup, ResultCache* cache, const ShardConfig* shard,
+    const RunBudget* budget) {
   ResultCache& c = cache != nullptr ? *cache : process_cache();
   const ShardConfig s = shard != nullptr ? *shard : shard_from_env();
   const RunBudget b = budget != nullptr ? *budget : cell_budget_from_env();
@@ -329,7 +350,7 @@ std::vector<CellResult> run_scenarios_cached(
           note_shard_skip();
           return CellResult::failed(CellResult::Fail::kShardSkip);
         }
-        ScenarioRun run = run_scenario(spec, nullptr, b);
+        ScenarioRun run = run_scenario(spec, setup, b);
         switch (run.budget_stop()) {
           case sim::EventLoop::BudgetStop::kNone:
             break;

@@ -2,8 +2,10 @@
 //
 // Scenarios are embarrassingly parallel: each one owns its Network (and
 // therefore its EventLoop, RNG streams, and recorder), so a batch of specs
-// can run across a thread pool with zero shared mutable state.  The runner
-// guarantees:
+// can run across a thread pool with zero shared mutable state.  run_sweep
+// is the one way to run a batch of ScenarioSpecs; on top of the thread
+// pool it memoises scored cells, shards them across processes, watchdogs
+// each run, and writes a sweep manifest.  The runner guarantees:
 //   * stable ordering — results land at the index of their spec, and the
 //     result callback fires in spec order regardless of completion order;
 //   * deterministic seeding — derive_seed(base, i) gives per-scenario base
@@ -13,7 +15,8 @@
 //     parallel == serial.
 //
 // Worker count: Options::jobs if > 0, else the NIMBUS_JOBS environment
-// variable, else std::thread::hardware_concurrency().
+// variable (a positive integer; anything else CHECK-fails), else
+// std::thread::hardware_concurrency().
 #pragma once
 
 #include <cstddef>
@@ -27,8 +30,9 @@
 
 namespace nimbus::exp {
 
-/// Resolves a job count: `jobs` if > 0, else NIMBUS_JOBS, else hardware
-/// concurrency (at least 1).
+/// Resolves a job count: `jobs` if > 0, else NIMBUS_JOBS (unset or empty
+/// skips it; a value that is not a positive integer CHECK-fails), else
+/// hardware concurrency (at least 1).
 int resolve_jobs(int jobs = 0);
 
 /// Deterministic per-scenario seed derivation (splitmix64 of base + index).
@@ -72,64 +76,46 @@ class ParallelRunner {
   }
 
   int jobs() const { return jobs_; }
-  bool serial() const { return serial_; }
 
  private:
   int jobs_;
   bool serial_;
 };
 
-/// Builds and runs every spec (each scenario gets its own network/loop),
-/// reduces each finished run to an R via `collect` (called on the worker
-/// thread, with the network still alive), and returns the Rs in spec
-/// order.  `on_result` fires in spec order — benches print CSV rows from
-/// it without interleaving.  `setup` (if given) runs per scenario on the
-/// worker thread after assembly and before the event loop starts; it must
-/// only touch the BuiltScenario it is handed (and thread-safe captures).
-template <typename R>
-std::vector<R> run_scenarios(
-    const std::vector<ScenarioSpec>& specs,
-    const std::function<R(const ScenarioSpec&, ScenarioRun&)>& collect,
-    ParallelRunner::Options opts = {},
-    const std::function<void(std::size_t, R&)>& on_result = nullptr,
-    const ScenarioSetup& setup = nullptr) {
-  ParallelRunner runner(opts);
-  return runner.map<R>(
-      specs.size(),
-      [&](std::size_t i) {
-        ScenarioRun run = run_scenario(specs[i], setup);
-        return collect(specs[i], run);
-      },
-      on_result);
-}
-
 /// Reduces one finished run to its cacheable scored summary.
 using CellCollect =
     std::function<CellResult(const ScenarioSpec&, ScenarioRun&)>;
 
-/// Per-cell watchdog config for run_scenarios_cached, from the environment:
+/// Per-cell watchdog config for run_sweep, from the environment:
 /// NIMBUS_CELL_MAX_EVENTS (simulated-event budget) and NIMBUS_CELL_WALL_SEC
-/// (wall-clock seconds).  Unset/invalid = unlimited.
+/// (wall-clock seconds).  Unset or empty = unlimited; anything else must
+/// be a positive number or the parse CHECK-fails.
 RunBudget cell_budget_from_env();
 
-/// run_scenarios with content-addressed memoisation and process-level
-/// sharding.  Each spec is keyed by (spec_hash, spec.seed,
-/// code_fingerprint); a cache hit returns the stored CellResult without
-/// building a network, a miss runs the scenario, applies `collect`, and
-/// (in readwrite mode) stores the summary.  Under an active NIMBUS_SHARD,
-/// cells outside this process's shard are never computed: they are served
-/// from the cache when present and otherwise come back valid=false (NaN
-/// values) — see result_cache.h.
+/// The sweep runner.  Builds and runs every spec (each scenario gets its
+/// own network/loop), reduces each finished run to a CellResult via
+/// `collect` (called on the worker thread, with the network still alive),
+/// and returns the results in spec order.  `on_result` fires in spec order
+/// as the completed prefix grows — benches print CSV rows from it without
+/// interleaving.  `setup` (if given) is handed to run_scenario: it runs
+/// per scenario on the worker thread after assembly and before the event
+/// loop starts, and must only touch the BuiltScenario it is handed.
 ///
-/// Caching is opt-in per call site precisely because `collect` is part of
-/// the cell's identity in spirit but not in the hash: the code
-/// fingerprint (the whole binary) covers it conservatively.  Call sites
-/// whose output depends on anything else (a ScenarioSetup hook, ambient
-/// state) must keep using run_scenarios.  Specs that cannot be
-/// canonicalized (spec_cacheable false) always compute.
+/// Cells are memoised and sharded.  Each spec is keyed by (spec_hash,
+/// spec.seed, code_fingerprint); a cache hit returns the stored
+/// CellResult without building a network (neither `setup` nor `collect`
+/// runs), a miss runs the scenario, applies `collect`, and (in readwrite
+/// mode) stores the summary.  Under an active NIMBUS_SHARD, cells outside
+/// this process's shard are never computed: they are served from the
+/// cache when present and otherwise come back valid=false (NaN values) —
+/// see result_cache.h.  Specs that cannot be canonicalized
+/// (spec_cacheable false) always compute.
 ///
-/// Ordering guarantees match run_scenarios: results land in spec order
-/// and `on_result` fires in spec order.
+/// The cache rule: `collect` and `setup` are part of a cell's identity
+/// but not of its hash — the code fingerprint (the whole binary) covers
+/// their code, and the spec hash (name and duration included) covers the
+/// spec.  So they may read only the spec they are handed and constants;
+/// any other captured value would let two different cells share a key.
 ///
 /// Watchdog: each computed cell runs under `budget` (null: the
 /// NIMBUS_CELL_MAX_EVENTS / NIMBUS_CELL_WALL_SEC env config; default
@@ -137,10 +123,14 @@ RunBudget cell_budget_from_env();
 /// valid=false with fail = kTimeout (wall) or kEventBudget (events)
 /// instead of stalling the suite; failed cells are never stored in the
 /// cache and `collect` is not called on their truncated runs.
-std::vector<CellResult> run_scenarios_cached(
+///
+/// Under NIMBUS_OBS=counters|trace with NIMBUS_OBS_DIR set, every call
+/// writes one sweep manifest (see README "Observability").
+std::vector<CellResult> run_sweep(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
     ParallelRunner::Options opts = {},
     const std::function<void(std::size_t, CellResult&)>& on_result = nullptr,
+    const ScenarioSetup& setup = nullptr,
     ResultCache* cache = nullptr,        // null: the NIMBUS_CACHE env cache
     const ShardConfig* shard = nullptr,  // null: the NIMBUS_SHARD env config
     const RunBudget* budget = nullptr);  // null: the env cell budget

@@ -7,7 +7,6 @@
 
 #include "cc/const_window.h"
 #include "cc/copa.h"
-#include "cc/cubic.h"
 #include "exp/schemes.h"
 #include "exp/spec_canon.h"
 #include "sim/pie.h"
@@ -16,77 +15,6 @@
 #include "util/check.h"
 
 namespace nimbus::exp {
-
-// ---------------------------------------------------------------------------
-// Imperative builders.
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<sim::Network> make_net(double mu, double buf_bdp,
-                                       TimeNs rtt) {
-  return std::make_unique<sim::Network>(
-      mu, sim::buffer_bytes_for_bdp(mu, rtt, buf_bdp));
-}
-
-sim::TransportFlow* add_protagonist(sim::Network& net,
-                                    const std::string& scheme,
-                                    double known_mu, TimeNs rtt) {
-  sim::TransportFlow::Config fc;
-  fc.id = 1;
-  fc.rtt_prop = rtt;
-  net.recorder().track_flow(1);
-  return net.add_flow(fc, make_scheme(scheme, known_mu));
-}
-
-core::Nimbus* add_nimbus(sim::Network& net, const core::Nimbus::Config& cfg,
-                         sim::FlowId id, TimeNs rtt, TimeNs start,
-                         std::uint64_t seed) {
-  auto algo = std::make_unique<core::Nimbus>(cfg);
-  core::Nimbus* ptr = algo.get();
-  sim::TransportFlow::Config fc;
-  fc.id = id;
-  fc.rtt_prop = rtt;
-  fc.start_time = start;
-  fc.seed = seed != 0 ? seed : id * 7 + 1;
-  net.recorder().track_flow(id);
-  net.add_flow(fc, std::move(algo));
-  return ptr;
-}
-
-void add_cubic_cross(sim::Network& net, sim::FlowId id, TimeNs start,
-                     TimeNs stop, TimeNs rtt) {
-  sim::TransportFlow::Config fc;
-  fc.id = id;
-  fc.rtt_prop = rtt;
-  fc.start_time = start;
-  fc.stop_time = stop;
-  fc.seed = id * 13 + 5;
-  net.add_flow(fc, std::make_unique<cc::Cubic>());
-}
-
-void add_poisson_cross(sim::Network& net, sim::FlowId id, double rate,
-                       TimeNs start, TimeNs stop) {
-  traffic::PoissonSource::Config pc;
-  pc.id = id;
-  pc.mean_rate_bps = rate;
-  pc.start_time = start;
-  pc.stop_time = stop;
-  pc.seed = id * 31 + 3;
-  net.reserve_flow_id(id);
-  net.add_source(
-      std::make_unique<traffic::PoissonSource>(&net.loop(), &net.link(), pc));
-}
-
-void add_cbr_cross(sim::Network& net, sim::FlowId id, double rate,
-                   TimeNs start, TimeNs stop) {
-  traffic::CbrSource::Config cc;
-  cc.id = id;
-  cc.rate_bps = rate;
-  cc.start_time = start;
-  cc.stop_time = stop;
-  net.reserve_flow_id(id);
-  net.add_source(
-      std::make_unique<traffic::CbrSource>(&net.loop(), &net.link(), cc));
-}
 
 // ---------------------------------------------------------------------------
 // Seeds.
@@ -252,25 +180,24 @@ std::unique_ptr<sim::Network> make_bottleneck(const ScenarioSpec& spec) {
 void add_protagonist_from_spec(const ScenarioSpec& spec, BuiltScenario& out) {
   const ProtagonistSpec& p = spec.protagonist;
   if (!p.enabled) return;
-  const TimeNs rtt = p.rtt > 0 ? p.rtt : spec.rtt;
-  sim::Network& net = *out.net;
+  sim::TransportFlow::Config fc;
+  fc.id = p.id;
+  fc.rtt_prop = p.rtt > 0 ? p.rtt : spec.rtt;
+  fc.start_time = p.start;
+  std::unique_ptr<sim::CcAlgorithm> cc;
   if (p.use_nimbus_config) {
     core::Nimbus::Config cfg = p.nimbus;
     if (cfg.known_mu_bps == 0.0 && p.known_mu) cfg.known_mu_bps = spec.mu_bps;
-    out.nimbus = add_nimbus(net, cfg, p.id, rtt, p.start,
-                            p.seed != 0 ? p.seed
-                                        : flow_seed(spec.seed, p.id * 7 + 1));
-    out.protagonist = net.flow_by_id(p.id);
-    return;
+    cc = std::make_unique<core::Nimbus>(cfg);
+    const std::uint64_t seed =
+        p.seed != 0 ? p.seed : flow_seed(spec.seed, p.id * 7 + 1);
+    fc.seed = seed != 0 ? seed : p.id * 7 + 1;
+  } else {
+    cc = make_scheme(p.scheme, p.known_mu ? spec.mu_bps : 0.0);
+    fc.seed = p.seed != 0 ? p.seed : flow_seed(spec.seed, fc.seed);
   }
-  sim::TransportFlow::Config fc;
-  fc.id = p.id;
-  fc.rtt_prop = rtt;
-  fc.start_time = p.start;
-  fc.seed = p.seed != 0 ? p.seed : flow_seed(spec.seed, fc.seed);
-  net.recorder().track_flow(p.id);
-  out.protagonist =
-      net.add_flow(fc, make_scheme(p.scheme, p.known_mu ? spec.mu_bps : 0.0));
+  out.net->recorder().track_flow(p.id);
+  out.protagonist = out.net->add_flow(fc, std::move(cc));
   out.nimbus = dynamic_cast<core::Nimbus*>(&out.protagonist->cc());
 }
 
@@ -365,8 +292,8 @@ void add_cross_entry(const ScenarioSpec& spec, const CrossSpec& c,
         fc.rtt_prop = rtt;
         fc.start_time = c.start;
         fc.stop_time = c.stop;
-        // Id-salted like the other flow kinds (the add_nimbus id*7+1
-        // family) — an id-free default would hand every unseeded replica
+        // Id-salted like the other flow kinds (the Nimbus protagonist's
+        // id*7+1 family) — an id-free default would hand every unseeded replica
         // the same RNG stream, correlating exactly the flows the
         // multi-flow experiments measure.  (A new kind, so there is no
         // historical unseeded output to preserve.)
@@ -560,11 +487,6 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
 // Canned experiments.
 // ---------------------------------------------------------------------------
 
-bool accuracy_cross_is_elastic(const std::string& cross_kind) {
-  return cross_kind == "newreno" || cross_kind == "cubic" ||
-         cross_kind == "mix";
-}
-
 bool spec_cross_is_elastic(const ScenarioSpec& spec) {
   for (const CrossSpec& c : spec.cross) {
     NIMBUS_CHECK_MSG(c.kind != CrossSpec::Kind::kVideo,
@@ -615,28 +537,13 @@ ScenarioSpec accuracy_scenario(const std::string& cross_kind, double mu,
   return spec;
 }
 
-double score_accuracy(const ScenarioRun& run, const ScenarioSpec& spec,
-                      bool elastic_truth) {
-  NIMBUS_CHECK_MSG(run.mode_log != nullptr, "accuracy scoring needs a Nimbus mode log");
+double score_accuracy(const ScenarioRun& run, const ScenarioSpec& spec) {
+  NIMBUS_CHECK_MSG(run.mode_log != nullptr,
+                   "accuracy scoring needs a Nimbus mode log");
   GroundTruth truth;
-  truth.add_interval(0, spec.duration, elastic_truth);
+  truth.add_interval(0, spec.duration, spec_cross_is_elastic(spec));
   // Skip warmup: one FFT window plus smoothing.
   return run.mode_log->accuracy(truth, from_sec(10), spec.duration);
-}
-
-double score_accuracy(const ScenarioRun& run, const ScenarioSpec& spec) {
-  return score_accuracy(run, spec, spec_cross_is_elastic(spec));
-}
-
-double run_accuracy(const std::string& cross_kind, double mu,
-                    TimeNs nimbus_rtt, TimeNs cross_rtt, double cross_share,
-                    TimeNs duration, std::uint64_t seed,
-                    core::Nimbus::Config cfg, double buf_bdp) {
-  const ScenarioSpec spec =
-      accuracy_scenario(cross_kind, mu, nimbus_rtt, cross_rtt, cross_share,
-                        duration, seed, cfg, buf_bdp);
-  const ScenarioRun run = run_scenario(spec);
-  return score_accuracy(run, spec, accuracy_cross_is_elastic(cross_kind));
 }
 
 }  // namespace nimbus::exp

@@ -5,13 +5,10 @@
 // (any scheme from exp::make_scheme or a fully configured Nimbus), a phase
 // schedule of cross traffic, and an optional heavy-tailed flow workload —
 // and build_network() assembles a ready-to-run sim::Network from it.
-// Specs are plain values: cheap to copy, sweep over, and hand to the
-// ParallelRunner (exp/runner.h), which runs batches of them across threads.
-//
-// The imperative builders (make_net, add_protagonist, add_nimbus,
-// add_*_cross, run_accuracy) used to live in bench/common.h; they are the
-// assembly primitives build_network() composes, exported so tests and
-// examples can use them without pulling in bench headers.
+// Specs are plain values: cheap to copy, sweep over, and hand to
+// exp::run_sweep (exp/runner.h), which runs batches of them across threads.
+// A spec is the only way to describe a network; build_network() is the
+// only way to assemble one.
 #pragma once
 
 #include <cstdint>
@@ -31,35 +28,6 @@
 namespace nimbus::exp {
 
 inline constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
-
-// ---------------------------------------------------------------------------
-// Imperative network builders (assembly primitives).
-// ---------------------------------------------------------------------------
-
-/// Standard paper link: rate mu, 50 ms propagation RTT, buffer in BDPs.
-std::unique_ptr<sim::Network> make_net(double mu, double buf_bdp = 2.0,
-                                       TimeNs rtt = from_ms(50));
-
-/// Adds the protagonist flow (id 1, tracked) running `scheme`.
-sim::TransportFlow* add_protagonist(sim::Network& net,
-                                    const std::string& scheme,
-                                    double known_mu,
-                                    TimeNs rtt = from_ms(50));
-
-/// Adds a Nimbus protagonist and returns the algorithm pointer.
-/// seed 0 keeps the historical per-flow formula (id * 7 + 1).
-core::Nimbus* add_nimbus(sim::Network& net, const core::Nimbus::Config& cfg,
-                         sim::FlowId id = 1, TimeNs rtt = from_ms(50),
-                         TimeNs start = 0, std::uint64_t seed = 0);
-
-void add_cubic_cross(sim::Network& net, sim::FlowId id, TimeNs start = 0,
-                     TimeNs stop = kNever, TimeNs rtt = from_ms(50));
-
-void add_poisson_cross(sim::Network& net, sim::FlowId id, double rate,
-                       TimeNs start = 0, TimeNs stop = kNever);
-
-void add_cbr_cross(sim::Network& net, sim::FlowId id, double rate,
-                   TimeNs start = 0, TimeNs stop = kNever);
 
 // ---------------------------------------------------------------------------
 // Seeds.
@@ -132,9 +100,9 @@ struct CrossSpec {
 struct ProtagonistSpec {
   bool enabled = true;
   std::string scheme = "nimbus";
-  /// When true, a core::Nimbus is built directly from `nimbus` (the
-  /// add_nimbus path: Nimbus knobs under the experiment's control).
-  /// When false, make_scheme(scheme) is used.
+  /// When true, a core::Nimbus is built directly from `nimbus` (Nimbus
+  /// knobs under the experiment's control).  When false,
+  /// make_scheme(scheme) is used.
   bool use_nimbus_config = false;
   core::Nimbus::Config nimbus;  // known_mu_bps 0 = filled from the scenario
   /// Hand the scenario's link rate to the protagonist as the known mu —
@@ -385,18 +353,10 @@ std::string export_trace_artifacts(const ScenarioSpec& spec,
 // Canned experiments.
 // ---------------------------------------------------------------------------
 
-/// Classification accuracy of a Nimbus flow against constant ground truth.
-/// `cross_kind` is one of "none", "poisson", "cbr", "newreno", "cubic",
-/// "mix" (half Poisson, half NewReno).  `seed` feeds the elastic cross
-/// flow; 0 now means "derive from the scenario base seed" (the pre-layer
-/// bench helper passed 0 through literally; no bench did so).
-double run_accuracy(const std::string& cross_kind, double mu,
-                    TimeNs nimbus_rtt, TimeNs cross_rtt, double cross_share,
-                    TimeNs duration, std::uint64_t seed,
-                    core::Nimbus::Config cfg = {}, double buf_bdp = 2.0);
-
-/// The ScenarioSpec run_accuracy executes (exposed for sweeps that want to
-/// batch accuracy grids through the ParallelRunner).
+/// Classification-accuracy scenario: a Nimbus protagonist against one
+/// cross-traffic kind.  `cross_kind` is one of "none", "poisson", "cbr",
+/// "newreno", "cubic", "mix" (half Poisson, half NewReno).  `seed` feeds
+/// the elastic cross flow; 0 means "derive from the scenario base seed".
 ScenarioSpec accuracy_scenario(const std::string& cross_kind, double mu,
                                TimeNs nimbus_rtt, TimeNs cross_rtt,
                                double cross_share, TimeNs duration,
@@ -404,16 +364,9 @@ ScenarioSpec accuracy_scenario(const std::string& cross_kind, double mu,
                                const core::Nimbus::Config& cfg = {},
                                double buf_bdp = 2.0);
 
-/// Scores a finished accuracy run (warmup-skipped, constant ground truth).
-double score_accuracy(const ScenarioRun& run, const ScenarioSpec& spec,
-                      bool elastic_truth);
-
-/// Scores with the ground truth derived from the spec itself via
-/// spec_cross_is_elastic — the common case for accuracy grids.
+/// Scores a finished accuracy run (warmup-skipped) against a constant
+/// ground truth derived from the spec itself via spec_cross_is_elastic.
 double score_accuracy(const ScenarioRun& run, const ScenarioSpec& spec);
-
-/// True if `cross_kind` adds elastic cross traffic in accuracy_scenario.
-bool accuracy_cross_is_elastic(const std::string& cross_kind);
 
 /// True if the spec's cross schedule contains elastic (ACK-clocked) cross
 /// traffic: scheme, Nimbus, or fixed-window flows.  Raw sources (Poisson/

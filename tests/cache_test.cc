@@ -3,6 +3,7 @@
 // NIMBUS_SHARD cell partition (exp/result_cache.h).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -307,7 +308,7 @@ std::vector<CellResult> run_grid(ResultCache* cache) {
     specs.push_back(small_spec(derive_seed(/*base=*/7, i)));
   }
   ShardConfig no_shard;  // pin 1/1 regardless of the test environment
-  return run_scenarios_cached(
+  return run_sweep(
       specs,
       [](const ScenarioSpec& spec, ScenarioRun& run) {
         CellResult r;
@@ -319,7 +320,7 @@ std::vector<CellResult> run_grid(ResultCache* cache) {
         }
         return r;
       },
-      {/*jobs=*/2, /*serial=*/false}, nullptr, cache, &no_shard);
+      {/*jobs=*/2, /*serial=*/false}, nullptr, nullptr, cache, &no_shard);
 }
 
 TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
@@ -342,6 +343,52 @@ TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
     EXPECT_EQ(uncached[i].values, warm[i].values) << "cell " << i;
     EXPECT_FALSE(cold[i].from_cache);
     EXPECT_TRUE(warm[i].from_cache);
+  }
+}
+
+// A setup hook is part of a cell's computation like collect: it runs on a
+// miss and is skipped, with collect, on a hit.  It reads only its spec.
+TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
+  TempDir tmp;
+  ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
+  const ShardConfig no_shard;
+  std::vector<ScenarioSpec> specs;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    specs.push_back(small_spec(derive_seed(/*base=*/13, i)));
+  }
+  std::atomic<int> hooks{0}, collects{0};
+  const ScenarioSetup setup = [&hooks](const ScenarioSpec& spec,
+                                       BuiltScenario& built) {
+    ++hooks;
+    built.net->link().set_random_loss(0.01, spec.seed);
+  };
+  const CellCollect collect = [&collects](const ScenarioSpec&,
+                                          ScenarioRun& run) {
+    ++collects;
+    const auto& rec = run.built.net->recorder();
+    return CellResult::vec({static_cast<double>(rec.delivered(1).total()),
+                            static_cast<double>(rec.total_drops())});
+  };
+  const auto cold = run_sweep(specs, collect, {/*jobs=*/2, false}, nullptr,
+                              setup, &rw, &no_shard);
+  const auto warm = run_sweep(specs, collect, {/*jobs=*/2, false}, nullptr,
+                              setup, &rw, &no_shard);
+  EXPECT_EQ(hooks.load(), 3) << "a cache hit must not run the setup hook";
+  EXPECT_EQ(collects.load(), 3) << "a cache hit must not run collect";
+  EXPECT_EQ(rw.stats().stores, 3);
+  EXPECT_EQ(rw.stats().hits, 3);
+
+  ResultCache off(tmp.str(), ResultCache::Mode::kOff);
+  const auto unhooked =
+      run_sweep(specs, collect, {}, nullptr, nullptr, &off, &no_shard);
+  ASSERT_EQ(cold.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(cold[i].valid);
+    EXPECT_FALSE(cold[i].from_cache);
+    EXPECT_TRUE(warm[i].from_cache);
+    EXPECT_EQ(cold[i].values, warm[i].values) << "cell " << i;
+    // The hook really shaped the run (random loss drops packets).
+    EXPECT_NE(cold[i].values, unhooked[i].values) << "cell " << i;
   }
 }
 
@@ -415,8 +462,8 @@ TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
   int computed = 0;
   for (int k = 1; k <= 2; ++k) {
     const ShardConfig shard{k, 2};
-    const auto part = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           &rw, &shard);
+    const auto part =
+        run_sweep(specs, collect, {}, nullptr, nullptr, &rw, &shard);
     for (const auto& r : part) {
       if (r.valid && !r.from_cache) ++computed;
     }
@@ -425,11 +472,11 @@ TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
 
   ResultCache rd(tmp.str(), ResultCache::Mode::kRead);
   ShardConfig full{1, 1};
-  const auto merged = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           &rd, &full);
+  const auto merged =
+      run_sweep(specs, collect, {}, nullptr, nullptr, &rd, &full);
   ResultCache off(tmp.str(), ResultCache::Mode::kOff);
-  const auto direct = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           &off, &full);
+  const auto direct =
+      run_sweep(specs, collect, {}, nullptr, nullptr, &off, &full);
   ASSERT_EQ(merged.size(), direct.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_TRUE(merged[i].valid);
@@ -449,7 +496,7 @@ TEST(ShardTest, OutOfShardCellsReadNaNPoison) {
   };
   const ShardConfig shard{1, 2};
   const auto part =
-      run_scenarios_cached(specs, collect, {}, nullptr, &off, &shard);
+      run_sweep(specs, collect, {}, nullptr, nullptr, &off, &shard);
   int valid = 0, skipped = 0;
   for (const auto& r : part) {
     if (r.valid) {

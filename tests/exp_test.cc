@@ -90,6 +90,14 @@ TEST(PathCatalogTest, TwentyFivePathsSpanningRegimes) {
   EXPECT_GE(shared, 6);
 }
 
+// One path run, summarized after the 10 s warmup (the Fig. 18/19 cell).
+FlowSummary run_path(const std::string& scheme, const PathConfig& path,
+                     TimeNs duration, std::uint64_t seed) {
+  const ScenarioRun run =
+      run_scenario(path_scenario(scheme, path, duration, seed));
+  return summarize_flow(run.built.net->recorder(), 1, from_sec(10), duration);
+}
+
 TEST(PathCatalogTest, RunPathProducesSummaries) {
   const auto paths = internet_paths();
   const auto s = run_path("cubic", paths[0], from_sec(25), 1);

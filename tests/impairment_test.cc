@@ -2,7 +2,7 @@
 // Gilbert–Elliott statistics, per-mechanism stream independence,
 // reorder/duplicate/blackout semantics and determinism, ImpairmentSpec
 // canonicalization coverage, and the run-budget watchdog (EventLoop budget
-// + FAILED/TIMEOUT cell semantics in run_scenarios_cached).
+// + FAILED/TIMEOUT cell semantics in run_sweep).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -478,12 +478,12 @@ TEST(WatchdogTest, EventBudgetYieldsFailedCellWithoutStallingTheRunner) {
   exp::ResultCache off("", exp::ResultCache::Mode::kOff);
   const std::vector<ScenarioSpec> specs = {hung_spec(), quick_spec()};
   const RunBudget budget{/*max_events=*/200000, /*max_wall_seconds=*/0.0};
-  const auto results = exp::run_scenarios_cached(
+  const auto results = exp::run_sweep(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun& run) {
         return CellResult::scalar(to_sec(run.built.net->loop().now()));
       },
-      {}, nullptr, &off, nullptr, &budget);
+      {}, nullptr, nullptr, &off, nullptr, &budget);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_EQ(results[0].fail, CellResult::Fail::kEventBudget);
@@ -497,12 +497,12 @@ TEST(WatchdogTest, WallClockTimeoutYieldsTimeoutCell) {
   exp::ResultCache off("", exp::ResultCache::Mode::kOff);
   const std::vector<ScenarioSpec> specs = {hung_spec()};
   const RunBudget budget{0, /*max_wall_seconds=*/0.1};
-  const auto results = exp::run_scenarios_cached(
+  const auto results = exp::run_sweep(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun&) {
         return CellResult::scalar(1.0);
       },
-      {}, nullptr, &off, nullptr, &budget);
+      {}, nullptr, nullptr, &off, nullptr, &budget);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_EQ(results[0].fail, CellResult::Fail::kTimeout);
@@ -517,12 +517,12 @@ TEST(WatchdogTest, FailedCellsAreNeverStoredInTheCache) {
   exp::ResultCache rw(dir.string(), exp::ResultCache::Mode::kReadWrite);
   const std::vector<ScenarioSpec> specs = {hung_spec(), quick_spec()};
   const RunBudget budget{/*max_events=*/200000, 0.0};
-  exp::run_scenarios_cached(
+  exp::run_sweep(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun& run) {
         return CellResult::scalar(to_sec(run.built.net->loop().now()));
       },
-      {}, nullptr, &rw, nullptr, &budget);
+      {}, nullptr, nullptr, &rw, nullptr, &budget);
   EXPECT_EQ(rw.stats().stores, 1);  // only the completed cell
   std::error_code ec;
   fs::remove_all(dir, ec);

@@ -2,8 +2,9 @@
 // wiring): allocation-free hot-path updates (counting operator-new hook,
 // same idiom as event_loop_test), flight-recorder ring semantics,
 // run-to-run telemetry determinism under a fixed seed, sweep-manifest
-// equality between parallel and serial runs, watchdog post-mortems on
-// budget-tripped cells, and Chrome-trace JSON well-formedness (accepted
+// equality between parallel and serial runs, a loud failure when the
+// manifest directory is missing, watchdog post-mortems on budget-tripped
+// cells, and Chrome-trace JSON well-formedness (accepted
 // by the RFC 8259 validator, rejected once hand-corrupted).
 #include <gtest/gtest.h>
 
@@ -263,9 +264,9 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
     exp::ResultCache cache("", exp::ResultCache::Mode::kOff);
     exp::ShardConfig shard;  // inactive
     exp::RunBudget budget;   // unlimited
-    const auto results = exp::run_scenarios_cached(
-        specs, collect, {/*jobs=*/4, serial}, nullptr, &cache, &shard,
-        &budget);
+    const auto results = exp::run_sweep(
+        specs, collect, {/*jobs=*/4, serial}, nullptr, nullptr, &cache,
+        &shard, &budget);
     ::unsetenv("NIMBUS_OBS");
     ::unsetenv("NIMBUS_OBS_DIR");
     return results;
@@ -307,6 +308,27 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
   std::filesystem::remove_all(dir_p);
 }
 
+// Telemetry was asked for: an unwritable manifest fails like a trace export.
+TEST(ObsSweepDeathTest, MissingObsDirFailsLoudlyInCountersMode) {
+  const std::string dir =
+      std::filesystem::temp_directory_path() / "obs_missing_dir" / "absent";
+  std::filesystem::remove_all(dir);
+  exp::ScenarioSpec spec = obs_spec(7);
+  spec.duration = from_sec(1);
+  const auto sweep = [&] {
+    ::setenv("NIMBUS_OBS", "counters", 1);
+    ::setenv("NIMBUS_OBS_DIR", dir.c_str(), 1);
+    exp::ResultCache off("", exp::ResultCache::Mode::kOff);
+    exp::run_sweep(
+        {spec},
+        [](const exp::ScenarioSpec&, exp::ScenarioRun&) {
+          return exp::CellResult::scalar(1.0);
+        },
+        {/*jobs=*/1, true}, nullptr, nullptr, &off);
+  };
+  EXPECT_DEATH(sweep(), "cannot open NIMBUS_OBS_DIR sweep manifest");
+}
+
 TEST(ObsSweepTest, BudgetTrippedCellCarriesPostMortem) {
   ::setenv("NIMBUS_OBS", "trace", 1);
   exp::ResultCache cache("", exp::ResultCache::Mode::kOff);
@@ -314,13 +336,14 @@ TEST(ObsSweepTest, BudgetTrippedCellCarriesPostMortem) {
   exp::RunBudget budget;
   budget.max_events = 20000;  // trips mid-run, well after traffic starts
   const std::vector<exp::ScenarioSpec> specs = {obs_spec(7)};
-  const auto results = exp::run_scenarios_cached(
+  const auto results = exp::run_sweep(
       specs,
       [](const exp::ScenarioSpec&, exp::ScenarioRun&) {
         ADD_FAILURE() << "collect must not run on a truncated cell";
         return exp::CellResult::scalar(0.0);
       },
-      {/*jobs=*/1, /*serial=*/true}, nullptr, &cache, &shard, &budget);
+      {/*jobs=*/1, /*serial=*/true}, nullptr, nullptr, &cache, &shard,
+      &budget);
   ::unsetenv("NIMBUS_OBS");
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].valid);

@@ -1,6 +1,7 @@
 // Tests for the scenario layer (exp/scenario.h) and the parallel runner
 // (exp/runner.h): spec assembly, run-to-run determinism of a fixed seed,
-// and parallel == serial equivalence.
+// parallel == serial equivalence through run_sweep, and the runner's
+// environment knobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -101,8 +102,47 @@ TEST(ParallelRunnerTest, JobsResolution) {
   EXPECT_EQ(ParallelRunner({/*jobs=*/3, /*serial=*/false}).jobs(), 3);
   ::setenv("NIMBUS_JOBS", "5", 1);
   EXPECT_EQ(ParallelRunner().jobs(), 5);
+  ::setenv("NIMBUS_JOBS", "", 1);  // empty keeps the default
+  EXPECT_GE(ParallelRunner().jobs(), 1);
   ::unsetenv("NIMBUS_JOBS");
   EXPECT_GE(ParallelRunner().jobs(), 1);
+}
+
+// Runner knobs are either unset/empty (the default) or a positive number;
+// garbage, trailing junk and non-positive values CHECK-fail naming the
+// variable instead of silently meaning "default" or "unlimited".
+template <typename Parse>
+void parse_with(const char* var, const char* value, Parse parse) {
+  ::setenv(var, value, 1);
+  parse();
+}
+
+TEST(RunnerEnvDeathTest, NimbusJobsRejectsGarbage) {
+  const auto jobs = [] { resolve_jobs(); };
+  EXPECT_DEATH(parse_with("NIMBUS_JOBS", "4x", jobs),
+               "NIMBUS_JOBS must be a positive integer");
+  EXPECT_DEATH(parse_with("NIMBUS_JOBS", "0", jobs), "NIMBUS_JOBS");
+}
+
+TEST(RunnerEnvDeathTest, CellMaxEventsRejectsGarbage) {
+  ::setenv("NIMBUS_CELL_MAX_EVENTS", "250000", 1);
+  EXPECT_EQ(cell_budget_from_env().max_events, 250000u);
+  ::unsetenv("NIMBUS_CELL_MAX_EVENTS");
+  EXPECT_EQ(cell_budget_from_env().max_events, 0u);
+  const auto budget = [] { cell_budget_from_env(); };
+  EXPECT_DEATH(parse_with("NIMBUS_CELL_MAX_EVENTS", "abc", budget),
+               "NIMBUS_CELL_MAX_EVENTS must be a positive integer");
+}
+
+TEST(RunnerEnvDeathTest, CellWallSecRejectsGarbage) {
+  ::setenv("NIMBUS_CELL_WALL_SEC", "1.5", 1);
+  EXPECT_EQ(cell_budget_from_env().max_wall_seconds, 1.5);
+  ::unsetenv("NIMBUS_CELL_WALL_SEC");
+  const auto budget = [] { cell_budget_from_env(); };
+  EXPECT_DEATH(parse_with("NIMBUS_CELL_WALL_SEC", "2s", budget),
+               "NIMBUS_CELL_WALL_SEC must be a positive number");
+  EXPECT_DEATH(parse_with("NIMBUS_CELL_WALL_SEC", "-1", budget),
+               "NIMBUS_CELL_WALL_SEC");
 }
 
 TEST(ParallelRunnerTest, DerivedSeedsAreDeterministicAndDistinct) {
@@ -315,44 +355,52 @@ TEST(ScenarioTest, DifferentSeedsDiverge) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel == serial.
+// Parallel == serial, through run_sweep with the cache and sharding pinned
+// off (every cell computed, whatever the environment says).
 // ---------------------------------------------------------------------------
 
 TEST(RunnerScenarioTest, ParallelMatchesSerialExactly) {
+  ResultCache off("", ResultCache::Mode::kOff);
+  const ShardConfig no_shard;
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 4; ++i) {
     specs.push_back(small_spec(derive_seed(/*base=*/7, i)));
   }
-  const auto collect = [](const ScenarioSpec& spec, ScenarioRun& run) {
-    return recorder_digest(spec, run);
+  const CellCollect collect = [](const ScenarioSpec& spec, ScenarioRun& run) {
+    return CellResult::vec(recorder_digest(spec, run));
   };
-  const auto parallel = run_scenarios<std::vector<double>>(
-      specs, collect, {/*jobs=*/4, /*serial=*/false});
-  const auto serial = run_scenarios<std::vector<double>>(
-      specs, collect, {/*jobs=*/4, /*serial=*/true});
+  const auto parallel = run_sweep(specs, collect, {/*jobs=*/4, false},
+                                  nullptr, nullptr, &off, &no_shard);
+  const auto serial = run_sweep(specs, collect, {/*jobs=*/4, true}, nullptr,
+                                nullptr, &off, &no_shard);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(parallel[i], serial[i]) << "scenario " << i;
+    EXPECT_FALSE(parallel[i].from_cache);
+    EXPECT_FALSE(parallel[i].values.empty());
+    EXPECT_EQ(parallel[i].values, serial[i].values) << "scenario " << i;
   }
 }
 
 TEST(RunnerScenarioTest, ResultCallbackInSpecOrderWithResults) {
+  ResultCache off("", ResultCache::Mode::kOff);
+  const ShardConfig no_shard;
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 3; ++i) {
     specs.push_back(small_spec(derive_seed(11, i)));
   }
   std::vector<std::size_t> order;
-  run_scenarios<double>(
+  run_sweep(
       specs,
       [](const ScenarioSpec&, ScenarioRun& run) {
-        return static_cast<double>(
-            run.built.net->recorder().delivered(1).total());
+        return CellResult::scalar(static_cast<double>(
+            run.built.net->recorder().delivered(1).total()));
       },
       {/*jobs=*/3, /*serial=*/false},
-      [&](std::size_t i, double& bytes) {
+      [&](std::size_t i, CellResult& bytes) {
         order.push_back(i);
-        EXPECT_GT(bytes, 0.0);
-      });
+        EXPECT_GT(bytes.value(), 0.0);
+      },
+      nullptr, &off, &no_shard);
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
 }
 
