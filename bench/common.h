@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -34,20 +33,14 @@
 
 namespace nimbus::bench {
 
-inline bool full_run() {
-  const char* env = std::getenv("NIMBUS_BENCH_FULL");
-  return env != nullptr && env[0] == '1';
-}
+inline bool full_run() { return exp::flag_knob("NIMBUS_BENCH_FULL"); }
 
 /// Scales an experiment duration down in quick mode.
 inline TimeNs dur(double full_sec, double quick_sec) {
   return from_sec(full_run() ? full_sec : quick_sec);
 }
 
-inline bool shape_strict() {
-  const char* env = std::getenv("NIMBUS_SHAPE_STRICT");
-  return env != nullptr && env[0] == '1';
-}
+inline bool shape_strict() { return exp::flag_knob("NIMBUS_SHAPE_STRICT"); }
 
 /// WARNs that should fail a strict run (shape_check minus known-warn).
 inline int& shape_warn_count() {

@@ -14,56 +14,27 @@
 // Implementation notes: with a 5 s window at 100 Hz, N = 500 and both pulse
 // frequencies (5 and 6 Hz) land on exact bins (25 and 30).  The band query
 // only needs ~40 bins, and those bins are maintained *incrementally* by a
-// sliding DFT (spectral/sliding_dft.h): O(tracked_bins) per add_sample and
-// O(1) per bin per evaluate, instead of an O(n) snapshot plus one O(n)
-// Goertzel sweep per bin per report.  ReferenceElasticityDetector keeps
-// the recompute pipeline as the executable spec (equivalence-tested, and
-// the fallback for queries outside the tracked band or for non-periodic-
-// Hann window configs); full_spectrum() runs the Bluestein FFT for
-// diagnostics and figure reproduction.
+// sliding DFT (spectral/sliding_dft.h) over a periodic-Hann window:
+// O(tracked_bins) per add_sample and O(1) per bin per evaluate.  The
+// detector is that engine alone — its ring is the only copy of the window,
+// and queries are only defined at the configured tracked frequencies (an
+// untracked query CHECK-fails).  full_spectrum() runs the Bluestein FFT over
+// the engine's ring for diagnostics and figure reproduction.  The
+// from-scratch recompute (snapshot, remove mean, window, Goertzel) lives
+// in tests/oracles/ as the executable spec the engine is tested against;
+// it shares the Eq. 3 band scan below.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
-#include <memory>
-#include <vector>
 
+#include "spectral/fft.h"
 #include "spectral/sliding_dft.h"
 #include "spectral/spectrum.h"
-#include "spectral/window.h"
 
 namespace nimbus::core {
-
-/// Fixed-capacity sliding window of uniformly sampled values, stored as a
-/// flat ring buffer (one allocation at construction; the detector pushes a
-/// sample every pulse period, so the window must not churn the allocator
-/// the way the seed's std::deque did).
-class SlidingSignal {
- public:
-  explicit SlidingSignal(std::size_t capacity);
-
-  void add(double v);
-  bool full() const { return size_ == capacity_; }
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return capacity_; }
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
-  /// Oldest-to-newest copy of the window.
-  std::vector<double> snapshot() const;
-
-  /// Writes the window oldest-to-newest into `out` (resized to size()),
-  /// reusing its capacity — the allocation-free path evaluate() uses.
-  void copy_to(std::vector<double>& out) const;
-
- private:
-  std::size_t capacity_;
-  std::vector<double> buf_;   // ring storage, sized capacity_
-  std::size_t head_ = 0;      // index of the oldest sample
-  std::size_t size_ = 0;
-};
 
 struct DetectorConfig {
   double sample_rate_hz = 100.0;  // one sample per 10 ms report
@@ -72,13 +43,10 @@ struct DetectorConfig {
   /// Bins within this distance of f_p count toward the numerator peak
   /// (windowing spreads an exact-bin tone into its neighbours).
   double tolerance_hz = 0.25;
-  /// Periodic Hann admits the sliding-DFT engine (frequency-domain
-  /// windowing); any other type forces the reference recompute path.
-  spectral::WindowType window = spectral::WindowType::kHannPeriodic;
   /// Pulse frequencies whose Eq.-3 bands the sliding DFT maintains
-  /// incrementally (both, because watchers evaluate f_pc *and* f_pd every
-  /// report).  evaluate()/magnitude_near() at other frequencies still
-  /// work, via the reference recompute.  <= 0 entries are ignored.
+  /// (both, because watchers evaluate f_pc *and* f_pd every report).
+  /// evaluate()/magnitude_near() are defined only inside these bands.
+  /// <= 0 entries are ignored; at least one must be positive.
   std::array<double, 2> tracked_freqs_hz = {5.0, 6.0};
 };
 
@@ -95,88 +63,115 @@ struct DetectorResult {
   double band_max_magnitude = 0.0;
 };
 
-/// The from-scratch spectral pipeline: snapshot the ring, remove the mean,
-/// apply the (cached) window, Goertzel each band bin.  O(bins * n) per
-/// evaluate — the executable specification the incremental engine is
-/// equivalence-tested against, and the fallback path for untracked
-/// queries.
-class ReferenceElasticityDetector {
- public:
-  using Config = DetectorConfig;
-  using Result = DetectorResult;
+/// Samples in the detector window: N = sample_rate * duration.
+inline std::size_t detector_window_samples(const DetectorConfig& cfg) {
+  return static_cast<std::size_t>(cfg.sample_rate_hz * cfg.duration_sec);
+}
 
-  ReferenceElasticityDetector();
-  explicit ReferenceElasticityDetector(const Config& config);
+/// Eq. (3) band scan over any per-bin magnitude source `mag(k)` of an
+/// n-point window.  The production engine (mag = O(1) sliding-DFT band
+/// lookup) and the test oracle (mag = Goertzel over the windowed snapshot)
+/// share this scan verbatim — loop bounds, tolerance tests, tie-breaking
+/// by max — so the two can only differ in per-bin floating-point error,
+/// never in which bins they consider.
+template <typename MagFn>
+DetectorResult evaluate_band(const DetectorConfig& cfg, std::size_t n,
+                             double f_pulse_hz, MagFn&& mag) {
+  DetectorResult r;
+  r.valid = true;
+  const double fs = cfg.sample_rate_hz;
+  auto bin_freq = [&](std::size_t k) {
+    return spectral::bin_frequency(k, n, fs);
+  };
 
-  void add_sample(double value);
-  bool ready() const { return signal_.full(); }
-  std::size_t window_samples() const { return signal_.capacity(); }
-  void reset() { signal_.clear(); }
+  // Numerator: strongest bin within tolerance of f_p.
+  const std::size_t center = spectral::frequency_bin(f_pulse_hz, n, fs);
+  double num = 0.0;
+  for (std::size_t k = (center > 2 ? center - 2 : 1); k <= center + 2; ++k) {
+    if (std::abs(bin_freq(k) - f_pulse_hz) <= cfg.tolerance_hz + 1e-9) {
+      num = std::max(num, mag(k));
+    }
+  }
+  r.pulse_magnitude = num;
 
-  Result evaluate(double f_pulse_hz) const;
-  double magnitude_near(double f_hz) const;
-  spectral::Spectrum full_spectrum() const;
+  // Denominator: peak strictly inside (f_p + tol, 2 f_p).
+  const std::size_t lo =
+      spectral::frequency_bin(f_pulse_hz + cfg.tolerance_hz, n, fs);
+  const std::size_t hi = spectral::frequency_bin(2.0 * f_pulse_hz, n, fs);
+  double denom = 0.0;
+  for (std::size_t k = std::max<std::size_t>(lo, 1); k <= hi; ++k) {
+    const double f = bin_freq(k);
+    if (f > f_pulse_hz + cfg.tolerance_hz && f < 2.0 * f_pulse_hz) {
+      const double m = mag(k);
+      if (m > denom) {
+        denom = m;
+        r.band_max_bin = k;
+      }
+    }
+  }
+  r.band_max_magnitude = denom;
 
-  const Config& config() const { return cfg_; }
-  const SlidingSignal& signal() const { return signal_; }
+  r.eta = denom > 0.0 ? num / denom : (num > 0.0 ? 1e9 : 0.0);
+  r.elastic = r.eta >= cfg.eta_threshold;
+  return r;
+}
 
- private:
-  /// Fills scratch_ with the mean-removed, windowed signal and returns it.
-  const std::vector<double>& windowed_snapshot() const;
+/// Peak magnitude over the bins adjacent to f (numerator of eta without
+/// the tolerance filter); shared by the engine and the oracle like
+/// evaluate_band.
+template <typename MagFn>
+double magnitude_near_band(std::size_t n, double fs, double f_hz,
+                           MagFn&& mag) {
+  const std::size_t center = spectral::frequency_bin(f_hz, n, fs);
+  double best = 0.0;
+  for (std::size_t k = (center > 1 ? center - 1 : 1); k <= center + 1; ++k) {
+    best = std::max(best, mag(k));
+  }
+  return best;
+}
 
-  Config cfg_;
-  SlidingSignal signal_;
-  // Reused by every evaluate()/magnitude_near() call (the seed version
-  // allocated a fresh vector per call).
-  mutable std::vector<double> scratch_;
-  // Window coefficients cached per detector (make_window allocated a
-  // fresh vector on every apply_window call — ~100x/s per flow on what
-  // was advertised as the allocation-free path).
-  mutable std::vector<double> window_;
-};
-
-/// The production detector: add_sample feeds the sliding-DFT engine's
-/// tracked bands, and evaluate()/magnitude_near() at the tracked pulse
-/// frequencies are pure band-max lookups — zero copies, zero allocations,
-/// O(1) per bin.  Queries the engine cannot serve (untracked frequency,
-/// non-periodic-Hann window) transparently fall back to the reference
-/// recompute over the same sample window.
+/// The detector: add_sample feeds the sliding-DFT engine's tracked bands,
+/// and evaluate()/magnitude_near() are pure band-max lookups — zero copies,
+/// zero allocations, O(1) per bin.
 class ElasticityDetector {
  public:
   using Config = DetectorConfig;
   using Result = DetectorResult;
 
   ElasticityDetector();
+  /// CHECK-fails unless the window is non-empty and at least one
+  /// tracked frequency is positive.
   explicit ElasticityDetector(const Config& config);
 
   /// Adds one z (or R) sample; call at the configured sample rate.
-  void add_sample(double value);
-  bool ready() const { return ref_.ready(); }
-  std::size_t window_samples() const { return ref_.window_samples(); }
-  void reset();
+  void add_sample(double value) { dft_.add_sample(value); }
+  bool ready() const { return dft_.full(); }
+  std::size_t window_samples() const { return dft_.window_size(); }
+  void reset() { dft_.reset(); }
 
-  /// Evaluates Eq. (3) for a pulse at f_pulse_hz.
+  /// Evaluates Eq. (3) for a pulse at f_pulse_hz, which must lie inside a
+  /// tracked band (CHECK-fails otherwise).
   Result evaluate(double f_pulse_hz) const;
 
   /// Magnitude of the signal's spectrum near frequency f (numerator of
-  /// eta); used by watchers/pulser-conflict checks.
+  /// eta); used by watchers/pulser-conflict checks.  Same tracked-band
+  /// contract as evaluate().
   double magnitude_near(double f_hz) const;
 
   /// Full magnitude spectrum of the current window (diagnostics, Fig. 5).
-  spectral::Spectrum full_spectrum() const { return ref_.full_spectrum(); }
+  spectral::Spectrum full_spectrum() const;
 
   const Config& config() const { return cfg_; }
 
-  /// The incremental engine, or nullptr when the config disables it
-  /// (introspection for tests and benches).
-  const spectral::SlidingDft* engine() const { return dft_.get(); }
+  /// The incremental engine (introspection for tests and benches).
+  const spectral::SlidingDft& engine() const { return dft_; }
 
  private:
-  bool engine_covers(std::size_t lo, std::size_t hi) const;
+  /// CHECK-fails unless the engine maintains every bin in [lo, hi].
+  void check_tracked(std::size_t lo, std::size_t hi) const;
 
   Config cfg_;
-  ReferenceElasticityDetector ref_;
-  std::unique_ptr<spectral::SlidingDft> dft_;
+  spectral::SlidingDft dft_;
 };
 
 }  // namespace nimbus::core

@@ -6,7 +6,6 @@
 #include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -15,29 +14,6 @@
 #include "util/check.h"
 
 namespace nimbus::exp {
-
-namespace {
-
-// Runner env knobs: unset or empty keeps `fallback`; any other value must
-// parse completely as a positive number no larger than `max` (a whole one
-// when `whole`), or the process CHECK-fails naming the variable — "4x" is
-// not 4, and "abc" is not "unlimited" or "hardware default".
-double positive_knob(const char* name, double fallback, bool whole,
-                     double max) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  const bool ok = end != v && *end == '\0' && x > 0.0 && x <= max &&
-                  (!whole || x == std::floor(x));
-  const std::string msg = std::string(name) + " must be a positive " +
-                          (whole ? "integer" : "number") + ", got \"" + v +
-                          "\"";
-  NIMBUS_CHECK_MSG(ok, msg.c_str());
-  return x;
-}
-
-}  // namespace
 
 int resolve_jobs(int jobs) {
   if (jobs > 0) return jobs;

@@ -1,5 +1,6 @@
 #include "exp/scenario.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -362,6 +363,35 @@ BuiltScenario build_network(const ScenarioSpec& spec) {
   return out;
 }
 
+double positive_knob(const char* name, double fallback, bool whole,
+                     double max) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || v[0] == '\0') return fallback;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !(x > 0.0 && x <= max) ||
+      (whole && x != std::floor(x))) {
+    char msg[256];
+    std::snprintf(msg, sizeof(msg),
+                  "%s must be a positive %s <= %.17g, got \"%.64s\"", name,
+                  whole ? "integer" : "number", max, v);
+    NIMBUS_CHECK_MSG(false, msg);
+  }
+  return x;
+}
+
+bool flag_knob(const char* name) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0) return false;
+  if (std::strcmp(v, "1") != 0) {
+    char msg[256];
+    std::snprintf(msg, sizeof(msg),
+                  "%s must be unset, empty, 0 or 1, got \"%.64s\"", name, v);
+    NIMBUS_CHECK_MSG(false, msg);
+  }
+  return true;
+}
+
 obs::Mode obs_mode_from_env() {
   // detlint:allow(R1): exp-layer telemetry config; never feeds sim state
   const char* v = std::getenv("NIMBUS_OBS");
@@ -381,14 +411,10 @@ std::string obs_dir_from_env() {
 }
 
 std::size_t obs_ring_capacity_from_env() {
-  // detlint:allow(R1): exp-layer telemetry config; never feeds sim state
-  const char* v = std::getenv("NIMBUS_OBS_RING");
-  if (v == nullptr || v[0] == '\0') {
-    return obs::FlightRecorder::kDefaultCapacity;
-  }
-  const long n = std::strtol(v, nullptr, 10);
-  NIMBUS_CHECK_MSG(n > 0, "NIMBUS_OBS_RING must be a positive integer");
-  return static_cast<std::size_t>(n);
+  return static_cast<std::size_t>(
+      positive_knob("NIMBUS_OBS_RING",
+                    static_cast<double>(obs::FlightRecorder::kDefaultCapacity),
+                    true, static_cast<double>(kMaxObsRingCapacity)));
 }
 
 std::string obs_artifact_stem(const ScenarioSpec& spec) {

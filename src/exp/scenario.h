@@ -319,6 +319,21 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
                          const RunBudget& budget = {});
 
 // ---------------------------------------------------------------------------
+// NIMBUS_* environment knobs.  Every numeric or on/off knob parses through
+// one of these two strict readers, so a typo CHECK-fails naming the
+// variable instead of silently meaning a default ("4x" is not 4, "true" is
+// not "1").
+// ---------------------------------------------------------------------------
+
+/// Unset or empty keeps `fallback`; any other value must parse completely
+/// as a positive number no larger than `max` (a whole one when `whole`).
+double positive_knob(const char* name, double fallback, bool whole,
+                     double max);
+
+/// Unset, empty or "0" is false and "1" is true; anything else CHECK-fails.
+bool flag_knob(const char* name);
+
+// ---------------------------------------------------------------------------
 // Telemetry configuration (NIMBUS_OBS).  Env parsing lives in the exp
 // layer — the one place getenv is detlint R1-legal — and is read per call
 // so tests can flip modes with setenv.  src/obs itself never reads the
@@ -332,7 +347,11 @@ obs::Mode obs_mode_from_env();
 /// NIMBUS_OBS_DIR: directory for trace/manifest artifacts ("" = none).
 std::string obs_dir_from_env();
 
-/// NIMBUS_OBS_RING: flight-recorder capacity override (default 16384).
+/// Largest NIMBUS_OBS_RING accepted: 4M events (~200 MB per traced cell).
+constexpr std::size_t kMaxObsRingCapacity = std::size_t{1} << 22;
+
+/// NIMBUS_OBS_RING: flight-recorder capacity override (default 16384): a
+/// positive integer <= kMaxObsRingCapacity, or the process CHECK-fails.
 std::size_t obs_ring_capacity_from_env();
 
 /// Deterministic artifact stem for one (spec, seed) cell:

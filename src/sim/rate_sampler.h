@@ -16,11 +16,11 @@
 // implementation's O(n) re-summation.  The ring doubles until the 16384-
 // sample history cap, after which on_ack overwrites the oldest slot —
 // steady state touches no heap and rates() is O(1).  Results are
-// bit-identical to the deque reference (ReferenceRateSampler below).
+// bit-identical to the deque implementation it replaced, kept as the
+// executable spec in tests/oracles/reference_rate_sampler.h.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "util/time.h"
@@ -64,30 +64,6 @@ class RateSampler {
   std::uint64_t mask_ = 0;
   std::uint64_t next_ = 0;  // global index of the next sample
   std::uint64_t cum_bytes_ = 0;
-  std::size_t max_history_ = 16384;
-  std::size_t min_packets_ = 5;
-};
-
-/// The PR 2-era deque implementation, kept as the executable specification:
-/// tests assert the ring sampler above returns bit-identical Rates under
-/// randomized workloads, and bench_micro measures the per-ACK O(cwnd)
-/// re-summation it pays.  Not used on any simulation path.
-class ReferenceRateSampler {
- public:
-  void on_ack(TimeNs sent_at, TimeNs acked_at, std::uint32_t bytes);
-  RateSampler::Rates rates(std::size_t n_packets) const;
-  RateSampler::Rates rates_over_window(double cwnd_bytes,
-                                       std::uint32_t mss) const;
-  std::size_t history_size() const { return samples_.size(); }
-  void set_min_packets(std::size_t n) { min_packets_ = n; }
-
- private:
-  struct Sample {
-    TimeNs sent_at;
-    TimeNs acked_at;
-    std::uint32_t bytes;
-  };
-  std::deque<Sample> samples_;
   std::size_t max_history_ = 16384;
   std::size_t min_packets_ = 5;
 };

@@ -9,6 +9,7 @@
 #include "core/elasticity.h"
 #include "core/estimators.h"
 #include "core/pulse.h"
+#include "oracles/reference_detector.h"
 #include "util/rng.h"
 
 namespace nimbus::core {
@@ -135,7 +136,7 @@ TEST(MuEstimatorTest, OldPeaksExpire) {
 // ---------- sliding signal & detector ----------
 
 TEST(SlidingSignalTest, CapacityAndOrder) {
-  SlidingSignal s(3);
+  oracles::SlidingSignal s(3);
   s.add(1);
   s.add(2);
   EXPECT_FALSE(s.full());

@@ -1,16 +1,20 @@
 // Tests for the allocation-free event core: FIFO determinism, O(1)
 // cancellation via generation tags, the Timer rearm fast path, the
+// equal-time batch drain (via the loop.batch_size histogram), the
 // steady-state zero-allocation guarantee (via a counting operator-new
 // hook), and a golden-value regression pinning simulation output to the
 // seed implementation bit for bit.
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/scenario.h"
+#include "obs/metrics.h"
 #include "sim/event_loop.h"
 #include "util/rng.h"
 
@@ -95,6 +99,47 @@ TEST(EventCoreTest, SameTimeFiresInSchedulingOrder) {
   loop.run();
   ASSERT_EQ(order.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
+}
+
+// A phase start wakes every flow at one deadline.  The loop must drain an
+// equal-time run as one sorted batch (detect the run, unlink it in one
+// pass, sort by seq) rather than re-scanning the bucket once per event,
+// which is O(k^2) in the burst size.  loop.batch_size observes each batch
+// once, counting the run's first event (fired before the run is detected),
+// in log2 buckets: bucket k holds sizes [2^(k-1), 2^k).  So a lone event
+// is no batch, a pair is one batch of 2 (bucket 2), and a 4096-event burst
+// is exactly one batch of 4096 (bucket 13).
+TEST(EventCoreTest, SameTimeBurstDrainsAsOneBatch) {
+  obs::MetricsRegistry metrics;
+  EventLoop loop;
+  loop.attach_metrics(&metrics);
+  constexpr int kBurst = 4096;
+  std::vector<int> order;
+  order.reserve(kBurst + 3);
+  loop.schedule(from_ms(1), [&order]() { order.push_back(-3); });
+  loop.schedule(from_ms(2), [&order]() { order.push_back(-2); });
+  loop.schedule(from_ms(2), [&order]() { order.push_back(-1); });
+  for (int i = 0; i < kBurst; ++i) {
+    loop.schedule(from_ms(5), [&order, i]() { order.push_back(i); });
+  }
+  loop.run_until(from_sec(1));
+
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kBurst) + 3);
+  for (int i = 0; i < kBurst + 3; ++i) {
+    ASSERT_EQ(order[static_cast<std::size_t>(i)], i - 3);
+  }
+  std::map<std::string, double> snap;
+  for (const auto& [name, value] : metrics.snapshot()) snap[name] = value;
+  EXPECT_EQ(snap["loop.events_fired"], kBurst + 3);
+  std::map<std::string, double> batches;
+  for (const auto& [name, value] : snap) {
+    if (name.rfind("loop.batch_size.", 0) == 0) batches[name] = value;
+  }
+  const std::map<std::string, double> expected = {
+      {"loop.batch_size.count", 2},
+      {"loop.batch_size.p2_2", 1},    // the pair at 2 ms
+      {"loop.batch_size.p2_13", 1}};  // the 4096-event burst at 5 ms
+  EXPECT_EQ(batches, expected);
 }
 
 TEST(EventCoreTest, CallbackCanCancelLaterSameTimeEvent) {
@@ -314,6 +359,9 @@ TEST(TimerTest, CancelRearmStress) {
 }
 
 // --- zero-allocation guarantee -----------------------------------------
+//
+// These two pin the mechanism behind the core's steady-state and timer-
+// rearm throughput: no per-event allocator or hash-map traffic.
 
 TEST(EventCoreTest, SteadyStateSchedulingDoesNotAllocate) {
   EventLoop loop;

@@ -329,6 +329,31 @@ TEST(ObsSweepDeathTest, MissingObsDirFailsLoudlyInCountersMode) {
   EXPECT_DEATH(sweep(), "cannot open NIMBUS_OBS_DIR sweep manifest");
 }
 
+// NIMBUS_OBS_RING goes through the strict knob parser: trailing junk,
+// non-integers and values past the cap CHECK-fail instead of truncating
+// ("4x" is not 4) or saturating to an enormous ring.
+TEST(ObsEnvTest, ObsRingCapacityParsesStrictly) {
+  ::unsetenv("NIMBUS_OBS_RING");
+  EXPECT_EQ(exp::obs_ring_capacity_from_env(),
+            obs::FlightRecorder::kDefaultCapacity);
+  ::setenv("NIMBUS_OBS_RING", "1e3", 1);
+  EXPECT_EQ(exp::obs_ring_capacity_from_env(), 1000u);
+  ::setenv("NIMBUS_OBS_RING", "4096", 1);
+  EXPECT_EQ(exp::obs_ring_capacity_from_env(), 4096u);
+  ::unsetenv("NIMBUS_OBS_RING");
+}
+
+TEST(ObsEnvDeathTest, ObsRingRejectsGarbage) {
+  const auto ring = [](const char* value) {
+    ::setenv("NIMBUS_OBS_RING", value, 1);
+    (void)exp::obs_ring_capacity_from_env();
+  };
+  EXPECT_DEATH(ring("4x"), "NIMBUS_OBS_RING must be a positive integer");
+  EXPECT_DEATH(ring("2.5"), "NIMBUS_OBS_RING");
+  EXPECT_DEATH(ring("0"), "NIMBUS_OBS_RING");
+  EXPECT_DEATH(ring("99999999999999999999"), "NIMBUS_OBS_RING");
+}
+
 TEST(ObsSweepTest, BudgetTrippedCellCarriesPostMortem) {
   ::setenv("NIMBUS_OBS", "trace", 1);
   exp::ResultCache cache("", exp::ResultCache::Mode::kOff);

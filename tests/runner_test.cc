@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "../bench/common.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
 
@@ -143,6 +144,32 @@ TEST(RunnerEnvDeathTest, CellWallSecRejectsGarbage) {
                "NIMBUS_CELL_WALL_SEC must be a positive number");
   EXPECT_DEATH(parse_with("NIMBUS_CELL_WALL_SEC", "-1", budget),
                "NIMBUS_CELL_WALL_SEC");
+}
+
+// On/off knobs accept only unset, empty, "0" or "1": "10" is not on, and a
+// typo such as NIMBUS_SHAPE_STRICT=true must not silently turn the strict
+// shape gate off.  The bench helpers read their flags through flag_knob.
+TEST(RunnerEnvTest, FlagKnobReadsZeroAndOne) {
+  ::unsetenv("NIMBUS_SHAPE_STRICT");
+  EXPECT_FALSE(bench::shape_strict());
+  ::setenv("NIMBUS_SHAPE_STRICT", "", 1);
+  EXPECT_FALSE(bench::shape_strict());
+  ::setenv("NIMBUS_SHAPE_STRICT", "0", 1);
+  EXPECT_FALSE(bench::shape_strict());
+  ::setenv("NIMBUS_SHAPE_STRICT", "1", 1);
+  EXPECT_TRUE(bench::shape_strict());
+  ::unsetenv("NIMBUS_SHAPE_STRICT");
+}
+
+TEST(RunnerEnvDeathTest, FlagKnobsRejectGarbage) {
+  const auto strict = [] { (void)bench::shape_strict(); };
+  EXPECT_DEATH(parse_with("NIMBUS_SHAPE_STRICT", "true", strict),
+               "NIMBUS_SHAPE_STRICT must be unset, empty, 0 or 1");
+  EXPECT_DEATH(parse_with("NIMBUS_SHAPE_STRICT", "10", strict),
+               "NIMBUS_SHAPE_STRICT");
+  const auto full = [] { (void)bench::full_run(); };
+  EXPECT_DEATH(parse_with("NIMBUS_BENCH_FULL", "yes", full),
+               "NIMBUS_BENCH_FULL must be unset, empty, 0 or 1");
 }
 
 TEST(ParallelRunnerTest, DerivedSeedsAreDeterministicAndDistinct) {

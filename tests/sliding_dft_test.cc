@@ -19,6 +19,7 @@
 
 #include "core/elasticity.h"
 #include "core/nimbus.h"
+#include "oracles/reference_detector.h"
 #include "sim/cc_interface.h"
 #include "spectral/goertzel.h"
 #include "spectral/sliding_dft.h"
@@ -59,7 +60,7 @@ std::uint64_t alloc_count() {
 }
 
 // Reference pipeline for one bin: |DFT(periodic_hann * (x - mean))| / N,
-// computed from scratch exactly the way ReferenceElasticityDetector does.
+// computed from scratch exactly the way the oracle detector does.
 double reference_hann_magnitude(std::vector<double> x, std::size_t k) {
   spectral::remove_mean(x);
   spectral::apply_window(x, spectral::WindowType::kHannPeriodic);
@@ -225,8 +226,7 @@ std::vector<double> fig08_signal(std::size_t n) {
 TEST(SlidingDftDetectorTest, EngineMatchesReferenceDetector) {
   core::DetectorConfig cfg;  // periodic Hann, tracked {5, 6}
   core::ElasticityDetector engine(cfg);
-  core::ReferenceElasticityDetector reference(cfg);
-  ASSERT_NE(engine.engine(), nullptr);
+  oracles::ReferenceElasticityDetector reference(cfg);
   const auto z = fig08_signal(1234);
   for (double v : z) {
     engine.add_sample(v);
@@ -248,35 +248,55 @@ TEST(SlidingDftDetectorTest, EngineMatchesReferenceDetector) {
               1e-3);
 }
 
-TEST(SlidingDftDetectorTest, UntrackedFrequencyFallsBackToReference) {
-  core::DetectorConfig cfg;
-  core::ElasticityDetector engine(cfg);
-  core::ReferenceElasticityDetector reference(cfg);
-  const auto z = fig08_signal(700);
+TEST(SlidingDftDetectorTest, FullSpectrumMatchesReference) {
+  // full_spectrum() reads the engine's own ring, so it must see exactly
+  // the samples the oracle's ring holds — including after a reset and a
+  // partial refill — and analyze them with the same periodic Hann window.
+  core::ElasticityDetector engine{core::DetectorConfig{}};
+  oracles::ReferenceElasticityDetector reference{core::DetectorConfig{}};
+  const auto z = fig08_signal(1234);
   for (double v : z) {
     engine.add_sample(v);
     reference.add_sample(v);
   }
-  // 10 Hz is outside the tracked union band; the detector must route the
-  // query through the reference recompute and agree bit-for-bit.
-  const auto re = engine.evaluate(10.0);
-  const auto rr = reference.evaluate(10.0);
-  ASSERT_TRUE(re.valid && rr.valid);
-  EXPECT_DOUBLE_EQ(re.eta, rr.eta);
-  EXPECT_DOUBLE_EQ(re.pulse_magnitude, rr.pulse_magnitude);
-  EXPECT_DOUBLE_EQ(engine.magnitude_near(20.0), reference.magnitude_near(20.0));
+  EXPECT_EQ(engine.full_spectrum().magnitude,
+            reference.full_spectrum().magnitude);
+  engine.reset();
+  reference.reset();
+  for (std::size_t i = 0; i < 321; ++i) {
+    engine.add_sample(z[i]);
+    reference.add_sample(z[i]);
+  }
+  EXPECT_FALSE(engine.ready());
+  const auto partial = engine.full_spectrum();
+  EXPECT_EQ(partial.magnitude.size(), 321u / 2 + 1);
+  EXPECT_EQ(partial.magnitude, reference.full_spectrum().magnitude);
 }
 
-TEST(SlidingDftDetectorTest, NonPeriodicHannConfigDisablesEngine) {
-  core::DetectorConfig cfg;
-  cfg.window = spectral::WindowType::kHann;  // symmetric: no 3-bin identity
-  core::ElasticityDetector detector(cfg);
-  EXPECT_EQ(detector.engine(), nullptr);
+// The detector answers only inside its tracked bands; everything else is a
+// caller bug, not a slow path.
+TEST(SlidingDftDetectorDeathTest, UntrackedEvaluateFails) {
+  core::ElasticityDetector detector{core::DetectorConfig{}};  // {5, 6} Hz
   const auto z = fig08_signal(600);
   for (double v : z) detector.add_sample(v);
-  const auto r = detector.evaluate(5.0);
-  EXPECT_TRUE(r.valid);
-  EXPECT_TRUE(r.elastic);
+  EXPECT_DEATH((void)detector.evaluate(10.0),
+               "outside the tracked frequency bands");
+  EXPECT_DEATH((void)detector.evaluate(2.0),
+               "outside the tracked frequency bands");
+}
+
+TEST(SlidingDftDetectorDeathTest, UntrackedMagnitudeNearFails) {
+  core::ElasticityDetector detector{core::DetectorConfig{}};
+  // The contract holds before the window fills, too.
+  EXPECT_DEATH((void)detector.magnitude_near(20.0),
+               "outside the tracked frequency bands");
+}
+
+TEST(SlidingDftDetectorDeathTest, ConfigWithoutTrackedFrequencyFails) {
+  core::DetectorConfig cfg;
+  cfg.tracked_freqs_hz = {0.0, -5.0};
+  EXPECT_DEATH(core::ElasticityDetector{cfg},
+               "DetectorConfig needs a positive tracked frequency");
 }
 
 TEST(SlidingDftDetectorTest, GoldenEtaPinsFig08Signal) {
@@ -402,7 +422,6 @@ TEST(SlidingDftAllocTest, NimbusOnReportSpectralPathIsAllocationFree) {
   EXPECT_EQ(alloc_count(), before)
       << "Nimbus::on_report must be allocation-free in steady state";
   EXPECT_TRUE(nimbus.detector().ready());
-  EXPECT_NE(nimbus.detector().engine(), nullptr);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "cc/const_window.h"
 #include "cc/reno.h"
+#include "oracles/reference_rate_sampler.h"
 #include "sim/network.h"
 #include "sim/rate_sampler.h"
 #include "sim/seq_ring.h"
@@ -196,7 +197,7 @@ TEST(SeqScoreboardTest, MatchesStdSetAcrossGrowth) {
 
 TEST(RateSamplerEquivalenceTest, RandomizedBitIdenticalToDeque) {
   RateSampler ring;
-  ReferenceRateSampler deque;
+  oracles::ReferenceRateSampler deque;
   util::Rng rng(31);
   TimeNs sent = 0;
   TimeNs acked = from_ms(50);
