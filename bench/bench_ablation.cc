@@ -95,7 +95,7 @@ exp::ScenarioSpec reset_spec(bool enable_reset, TimeNs duration) {
 
 int main() {
   const TimeNs duration = dur(60, 30);
-  exp::ParallelRunner runner;
+  exp::ParallelRunner runner({exp::RunConfig::process().jobs});
 
   // 1. Frequency vs time domain.
   std::printf("ablation,experiment,variant,value\n");

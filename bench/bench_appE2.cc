@@ -77,7 +77,7 @@ int main() {
   }
 
   util::OnlineStats acc;
-  exp::run_sweep(specs, collect, {},
+  exp::run_sweep(specs, collect,
                  [&](std::size_t i, exp::CellResult& r) {
                    row("appE2", labels[i], {r.value()});
                    if (i < headline_cells) acc.add(r.value());

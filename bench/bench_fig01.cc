@@ -70,7 +70,7 @@ int main() {
   for (const auto& s : schemes) specs.push_back(make_spec(s));
 
   const auto results = exp::run_sweep(
-      specs, collect, {},
+      specs, collect,
       [&](std::size_t i, exp::CellResult& r) {
         const auto& v = r.values;
         for (std::size_t k = kSeconds; k + 3 <= v.size(); k += 3) {

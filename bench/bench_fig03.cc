@@ -61,7 +61,7 @@ int main() {
 
   std::printf("fig03,second,total_qdelay_ms,self_inflicted_ms,share\n");
   const auto results = exp::run_sweep(
-      {spec}, collect, {},
+      {spec}, collect,
       [&](std::size_t, exp::CellResult& r) {
         const auto& v = r.values;
         for (std::size_t k = 2; k + 4 <= v.size(); k += 4) {

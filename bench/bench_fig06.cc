@@ -63,7 +63,7 @@ int main() {
 
   double median_0 = 0, median_100 = 0, median_25 = 0;
   exp::run_sweep(
-      specs, collect, {},
+      specs, collect,
       [&](std::size_t i, exp::CellResult& r) {
         util::Percentiles p;
         p.add_all(r.values);

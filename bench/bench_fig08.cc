@@ -105,7 +105,7 @@ int main() {
   for (const auto& s : schemes) specs.push_back(make_spec(s, phase_len));
 
   const auto results = exp::run_sweep(
-      specs, collect, {},
+      specs, collect,
       // Fires in scheme order as the completed prefix grows.
       [&](std::size_t i, exp::CellResult& r) {
         const auto& v = r.values;

@@ -67,7 +67,7 @@ int main() {
   // where the hand-rolled loop emitted it.
   std::vector<Point> group;
   exp::run_sweep(
-      specs, collect, {},
+      specs, collect,
       [&](std::size_t i, exp::CellResult& r) {
         const Point p{r.value(0), r.value(1)};
         const double load = loads[i / 4];

@@ -91,7 +91,7 @@ int main() {
 
   std::printf("fig16,second,f1,f2,f3,f4,qdelay_ms,pulsers\n");
   const auto results = exp::run_sweep(
-      {spec}, collect, {},
+      {spec}, collect,
       [&](std::size_t, exp::CellResult& r) {
         const auto& v = r.values;
         for (std::size_t k = 3; k + 7 <= v.size(); k += 7) {

@@ -80,7 +80,7 @@ int main() {
 
   std::printf("fig17,second,nimbus_total_mbps,qdelay_ms\n");
   const auto results = exp::run_sweep(
-      {spec}, collect, {},
+      {spec}, collect,
       [&](std::size_t, exp::CellResult& r) {
         const auto& v = r.values;
         for (std::size_t k = 3; k + 3 <= v.size(); k += 3) {

@@ -59,7 +59,6 @@ int main() {
                                            from_sec(10), spec.duration);
         return exp::CellResult::vec({s.mean_rate_mbps, s.mean_rtt_ms});
       },
-      {},
       [&](std::size_t i, exp::CellResult& r) {
         const int run_idx = static_cast<int>(i / 2);
         const double rate = r.value(0), rtt = r.value(1);

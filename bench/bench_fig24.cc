@@ -62,7 +62,7 @@ int main() {
   }
 
   const auto results = exp::run_sweep(
-      specs, collect, {},
+      specs, collect,
       [&](std::size_t i, exp::CellResult& r) {
         const auto& v = r.values;
         for (std::size_t k = 1; k + 3 <= v.size(); k += 3) {

@@ -59,7 +59,7 @@ int main() {
   }
 
   util::OnlineStats overall;
-  exp::run_sweep(specs, collect, {},
+  exp::run_sweep(specs, collect,
                  [&](std::size_t i, exp::CellResult& r) {
                    row("fig25", labels[i], {r.value()});
                    overall.add(r.value());

@@ -405,20 +405,19 @@ void BM_SweepCellWarmCache(benchmark::State& state) {
   const fs::path dir =
       fs::temp_directory_path() / "nimbus-bench-sweep-cache";
   fs::remove_all(dir);
-  const exp::ShardConfig no_shard;
-  {
-    exp::ResultCache warmup(dir.string(), exp::ResultCache::Mode::kReadWrite);
-    exp::run_sweep(specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr,
-                   nullptr, &warmup, &no_shard);
-  }
-  exp::ResultCache cache(dir.string(), exp::ResultCache::Mode::kRead);
+  exp::RunConfig cfg;
+  cfg.cache_dir = dir.string();
+  cfg.cache_mode = exp::ResultCache::Mode::kReadWrite;
+  exp::run_sweep(specs, sweep_cell_collect, nullptr, nullptr, cfg);
+  cfg.cache_mode = exp::ResultCache::Mode::kRead;
+  bool all_hits = true;
   for (auto _ : state) {
-    const auto cells = exp::run_sweep(
-        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, nullptr,
-        &cache, &no_shard);
+    const auto cells =
+        exp::run_sweep(specs, sweep_cell_collect, nullptr, nullptr, cfg);
+    for (const exp::CellResult& c : cells) all_hits &= c.from_cache;
     benchmark::DoNotOptimize(cells);
   }
-  if (cache.stats().misses > 0) {
+  if (!all_hits) {
     state.SkipWithError("warm cache missed; measurement invalid");
   }
   state.SetItemsProcessed(state.iterations() *
@@ -429,12 +428,10 @@ BENCHMARK(BM_SweepCellWarmCache);
 
 void BM_SweepCellColdCompute(benchmark::State& state) {
   const auto specs = sweep_cell_specs();
-  exp::ResultCache off("", exp::ResultCache::Mode::kOff);
-  const exp::ShardConfig no_shard;
+  const exp::RunConfig uncached;  // one job, no cache, no shard
   for (auto _ : state) {
-    const auto cells = exp::run_sweep(
-        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, nullptr,
-        &off, &no_shard);
+    const auto cells = exp::run_sweep(specs, sweep_cell_collect, nullptr,
+                                      nullptr, uncached);
     benchmark::DoNotOptimize(cells);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -69,7 +69,7 @@ int main() {
 
   util::Percentiles err;
   exp::run_sweep(
-      specs, collect, {},
+      specs, collect,
       [&](std::size_t i, exp::CellResult& r) {
         util::Percentiles local;
         local.add_all(r.values);

@@ -33,14 +33,14 @@
 
 namespace nimbus::bench {
 
-inline bool full_run() { return exp::flag_knob("NIMBUS_BENCH_FULL"); }
+inline bool full_run() { return exp::RunConfig::process().full_run; }
 
 /// Scales an experiment duration down in quick mode.
 inline TimeNs dur(double full_sec, double quick_sec) {
   return from_sec(full_run() ? full_sec : quick_sec);
 }
 
-inline bool shape_strict() { return exp::flag_knob("NIMBUS_SHAPE_STRICT"); }
+inline bool shape_strict() { return exp::RunConfig::process().shape_strict; }
 
 /// WARNs that should fail a strict run (shape_check minus known-warn).
 inline int& shape_warn_count() {

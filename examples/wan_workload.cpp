@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   std::printf("scheme       rate    mean RTT  median RTT   p95 RTT\n");
   const auto outcomes = exp::run_sweep(
-      specs, collect, {},
+      specs, collect,
       [&](std::size_t i, exp::CellResult& r) {
         std::printf("%-10s %6.1f M %8.1f ms %8.1f ms %8.1f ms\n",
                     schemes[i].c_str(), r.value(kRate), r.value(kMeanRtt),

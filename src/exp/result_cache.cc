@@ -3,13 +3,13 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "exp/run_config.h"
 #include "util/check.h"
 
 namespace nimbus::exp {
@@ -188,31 +188,6 @@ ResultCache::Stats ResultCache::stats() const {
   return stats_;
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide configuration.
-// ---------------------------------------------------------------------------
-
-ResultCache& process_cache() {
-  static ResultCache* cache = [] {
-    using Mode = ResultCache::Mode;
-    Mode mode = Mode::kOff;
-    if (const char* env = std::getenv("NIMBUS_CACHE")) {
-      const std::string v = env;
-      if (v == "read") {
-        mode = Mode::kRead;
-      } else if (v == "readwrite") {
-        mode = Mode::kReadWrite;
-      } else {
-        NIMBUS_CHECK_MSG(v == "off" || v.empty(),
-                         "NIMBUS_CACHE must be off|read|readwrite");
-      }
-    }
-    const char* dir = std::getenv("NIMBUS_CACHE_DIR");
-    return new ResultCache(dir != nullptr ? dir : ".nimbus-cache", mode);
-  }();
-  return *cache;
-}
-
 Hash128 code_fingerprint() {
   static const Hash128 fp = [] {
     std::ifstream in("/proc/self/exe", std::ios::binary);
@@ -240,15 +215,6 @@ ShardConfig parse_shard(const std::string& s) {
   return {k, n};
 }
 
-ShardConfig shard_from_env() {
-  static const ShardConfig cfg = [] {
-    const char* env = std::getenv("NIMBUS_SHARD");
-    return env != nullptr && env[0] != '\0' ? parse_shard(env)
-                                            : ShardConfig{};
-  }();
-  return cfg;
-}
-
 bool cell_in_shard(const Hash128& spec_hash, std::uint64_t seed,
                    const ShardConfig& shard) {
   if (!shard.active()) return true;
@@ -262,24 +228,30 @@ bool cell_in_shard(const Hash128& spec_hash, std::uint64_t seed,
 
 namespace {
 std::atomic<long> g_shard_skipped{0};
+std::atomic<long> g_hits{0}, g_misses{0}, g_corrupt{0}, g_stores{0};
 }  // namespace
 
 long shard_skipped_count() { return g_shard_skipped.load(); }
 void note_shard_skip() { g_shard_skipped.fetch_add(1); }
 
+void note_cache_stats(const ResultCache::Stats& s) {
+  g_hits += s.hits;
+  g_misses += s.misses;
+  g_corrupt += s.corrupt;
+  g_stores += s.stores;
+}
+
 void print_cache_stats_if_active(std::FILE* out) {
-  const ResultCache& cache = process_cache();
-  const ShardConfig shard = shard_from_env();
-  if (!cache.enabled() && !shard.active()) return;
-  const ResultCache::Stats s = cache.stats();
+  const RunConfig& cfg = RunConfig::process();
+  const ShardConfig& shard = cfg.shard;
+  if (cfg.cache_mode == ResultCache::Mode::kOff && !shard.active()) return;
   std::fprintf(out,
                "nimbus-cache: mode=%s dir=%s hits=%ld misses=%ld "
                "corrupt=%ld stores=%ld shard=%d/%d shard_skipped=%ld\n",
-               cache.mode() == ResultCache::Mode::kOff
-                   ? "off"
-                   : (cache.writable() ? "readwrite" : "read"),
-               cache.dir().c_str(), s.hits, s.misses, s.corrupt, s.stores,
-               shard.k, shard.n, shard_skipped_count());
+               ResultCache::kModeNames[static_cast<int>(cfg.cache_mode)],
+               cfg.cache_dir.c_str(), g_hits.load(), g_misses.load(),
+               g_corrupt.load(), g_stores.load(), shard.k, shard.n,
+               shard_skipped_count());
 }
 
 }  // namespace nimbus::exp

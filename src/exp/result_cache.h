@@ -20,16 +20,11 @@
 // self-checking: a truncated or corrupted entry fails its checksum and is
 // treated as a miss (recomputed, then rewritten when the mode allows).
 //
-// Environment switches (read once per process):
-//   NIMBUS_CACHE       off (default) | read | readwrite
-//   NIMBUS_CACHE_DIR   cache root (default .nimbus-cache when enabled)
-//   NIMBUS_SHARD       "k/n" (1-based): this process computes only the
-//                      cells whose hash lands in shard k of n.  Cells
-//                      outside the shard still *read* the cache (a fully
-//                      warmed cache yields complete output under any
-//                      shard), but are never computed; their results come
-//                      back with valid=false and NaN values, and benches
-//                      downgrade shape checks to SKIP (bench/common.h).
+// run_sweep opens one ResultCache per sweep from its RunConfig.  Under a
+// ShardConfig k/n a sweep computes only the cells whose hash lands in
+// shard k of n.  Cells outside the shard still *read* the cache, but are
+// never computed: they come back with valid=false and NaN values, and
+// benches downgrade shape checks to SKIP (bench/common.h).
 #pragma once
 
 #include <cstdint>
@@ -67,7 +62,7 @@ struct CellResult {
   bool from_cache = false;
   Fail fail = Fail::kNone;
 
-  /// Telemetry sidecar (NIMBUS_OBS=counters|trace only; NOT part of the
+  /// Telemetry sidecar (obs counters or trace only; NOT part of the
   /// disk entry format — cached cells carry no fresh telemetry, and failed
   /// cells are never stored anyway).  For completed cells this is the
   /// registry snapshot feeding the sweep manifest; for watchdog-failed
@@ -103,6 +98,8 @@ struct CellResult {
 class ResultCache {
  public:
   enum class Mode { kOff, kRead, kReadWrite };
+  /// Spellings (NIMBUS_CACHE values), indexed by Mode.
+  static constexpr const char* kModeNames[] = {"off", "read", "readwrite"};
 
   struct Stats {
     long hits = 0;
@@ -115,8 +112,6 @@ class ResultCache {
 
   bool enabled() const { return mode_ != Mode::kOff; }
   bool writable() const { return mode_ == Mode::kReadWrite; }
-  Mode mode() const { return mode_; }
-  const std::string& dir() const { return dir_; }
 
   /// Returns the cached cell, or nullopt on miss (absent or corrupt).
   std::optional<CellResult> load(const Hash128& spec_hash,
@@ -140,9 +135,8 @@ class ResultCache {
   bool warned_unwritable_ = false;
 };
 
-/// The process-wide cache, configured from NIMBUS_CACHE/NIMBUS_CACHE_DIR
-/// on first use.
-ResultCache& process_cache();
+/// Adds one sweep's cache stats to the totals this process reports.
+void note_cache_stats(const ResultCache::Stats& s);
 
 /// Hash of this process's executable image (/proc/self/exe), computed
 /// once.  CHECK-fails where unavailable and caching is requested — the
@@ -162,9 +156,6 @@ struct ShardConfig {
 /// Parses "k/n" with 1 <= k <= n; CHECK-fails on malformed input.
 ShardConfig parse_shard(const std::string& s);
 
-/// NIMBUS_SHARD, or the inactive 1/1 config when unset.
-ShardConfig shard_from_env();
-
 /// Deterministic partition: for a fixed n, every cell belongs to exactly
 /// one shard (tests assert the disjoint exact cover).
 bool cell_in_shard(const Hash128& spec_hash, std::uint64_t seed,
@@ -176,8 +167,8 @@ long shard_skipped_count();
 void note_shard_skip();
 
 /// One summary line to `out` (benches pass stderr, keeping stdout
-/// byte-identical between cold and warm runs) when caching or sharding is
-/// active; silent otherwise.
+/// byte-identical between cold and warm runs) when the process config
+/// caches or shards; silent otherwise.
 void print_cache_stats_if_active(std::FILE* out);
 
 }  // namespace nimbus::exp

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cfloat>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -17,8 +15,6 @@ namespace nimbus::exp {
 
 int resolve_jobs(int jobs) {
   if (jobs > 0) return jobs;
-  const double env = positive_knob("NIMBUS_JOBS", 0, true, INT_MAX);
-  if (env > 0) return static_cast<int>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -27,8 +23,6 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
   // splitmix64 over base + index: distinct, scheduling-independent streams.
   return mix_seed(base + 0x9e3779b97f4a7c15ULL * index);
 }
-
-ParallelRunner::ParallelRunner() : ParallelRunner(Options{}) {}
 
 ParallelRunner::ParallelRunner(Options opts)
     : jobs_(resolve_jobs(opts.jobs)), serial_(opts.serial) {}
@@ -98,14 +92,6 @@ void ParallelRunner::for_each(std::size_t n,
   for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-RunBudget cell_budget_from_env() {
-  RunBudget b;
-  b.max_events = static_cast<std::uint64_t>(
-      positive_knob("NIMBUS_CELL_MAX_EVENTS", 0, true, 1e18));
-  b.max_wall_seconds = positive_knob("NIMBUS_CELL_WALL_SEC", 0, false, DBL_MAX);
-  return b;
 }
 
 namespace {
@@ -182,7 +168,7 @@ void attach_failure_diagnostics(CellResult& r, const ScenarioRun& run,
 // Sweep manifest (JSONL, one row per cell in spec order plus a trailing
 // sweep summary).  Written once per run_sweep call, after the
 // whole map completes, on the calling thread — so the file is identical
-// under any NIMBUS_JOBS (tests diff parallel vs serial byte for byte).
+// at any job count (tests diff parallel vs serial byte for byte).
 // -------------------------------------------------------------------------
 
 std::string json_escape(const std::string& s) {
@@ -231,12 +217,11 @@ int next_manifest_index() {
 
 void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
                           const std::vector<CellResult>& results,
-                          const ResultCache& c, const ShardConfig& s) {
-  const std::string dir = obs_dir_from_env();
-  if (dir.empty() || obs_mode_from_env() == obs::Mode::kOff) return;
+                          const ResultCache& c, const RunConfig& cfg) {
+  if (cfg.obs.dir.empty() || cfg.obs.mode == obs::Mode::kOff) return;
   char path[512];
-  std::snprintf(path, sizeof(path), "%s/manifest-%d.jsonl", dir.c_str(),
-                next_manifest_index());
+  std::snprintf(path, sizeof(path), "%s/manifest-%d.jsonl",
+                cfg.obs.dir.c_str(), next_manifest_index());
   std::FILE* f = std::fopen(path, "w");
   // Telemetry was asked for: fail loudly, like the trace export.
   NIMBUS_CHECK_MSG(f != nullptr, "cannot open NIMBUS_OBS_DIR sweep manifest");
@@ -288,13 +273,23 @@ void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
   summary += ",\"computed\":" + std::to_string(computed);
   summary += ",\"from_cache\":" + std::to_string(cached);
   summary += ",\"failed\":" + std::to_string(failed);
-  summary += ",\"shard\":\"" + std::to_string(s.k) + "/" +
-             std::to_string(s.n) + "\"";
   summary += ",\"shard_skipped\":" + std::to_string(shard_skipped_count());
   summary += ",\"cache\":{\"hits\":" + std::to_string(st.hits);
   summary += ",\"misses\":" + std::to_string(st.misses);
   summary += ",\"corrupt\":" + std::to_string(st.corrupt);
-  summary += ",\"stores\":" + std::to_string(st.stores) + "}}}\n";
+  // The deterministic config: no job count or paths, so manifests match
+  // across job counts and output directories.
+  char config[256];
+  std::snprintf(
+      config, sizeof(config),
+      "},\"config\":{\"cache\":\"%s\",\"shard\":\"%d/%d\",\"obs\":\"%s\","
+      "\"obs_ring\":%zu,\"cell_max_events\":%llu,\"cell_wall_sec\":%.17g}}}\n",
+      ResultCache::kModeNames[static_cast<int>(cfg.cache_mode)], cfg.shard.k,
+      cfg.shard.n, obs::kModeNames[static_cast<int>(cfg.obs.mode)],
+      cfg.obs.ring_capacity,
+      static_cast<unsigned long long>(cfg.budget.max_events),
+      cfg.budget.max_wall_seconds);
+  summary += ",\"stores\":" + std::to_string(st.stores) + config;
   std::fputs(summary.c_str(), f);
   std::fclose(f);
 }
@@ -303,14 +298,12 @@ void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
 
 std::vector<CellResult> run_sweep(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
-    ParallelRunner::Options opts,
     const std::function<void(std::size_t, CellResult&)>& on_result,
-    const ScenarioSetup& setup, ResultCache* cache, const ShardConfig* shard,
-    const RunBudget* budget) {
-  ResultCache& c = cache != nullptr ? *cache : process_cache();
-  const ShardConfig s = shard != nullptr ? *shard : shard_from_env();
-  const RunBudget b = budget != nullptr ? *budget : cell_budget_from_env();
-  ParallelRunner runner(opts);
+    const ScenarioSetup& setup, const RunConfig& cfg) {
+  ResultCache c(cfg.cache_dir, cfg.cache_mode);
+  const ShardConfig& s = cfg.shard;
+  const RunBudget& b = cfg.budget;
+  ParallelRunner runner({cfg.jobs, /*serial=*/false});
   std::vector<CellResult> results = runner.map<CellResult>(
       specs.size(),
       [&](std::size_t i) -> CellResult {
@@ -326,7 +319,7 @@ std::vector<CellResult> run_sweep(
           note_shard_skip();
           return CellResult::failed(CellResult::Fail::kShardSkip);
         }
-        ScenarioRun run = run_scenario(spec, setup, b);
+        ScenarioRun run = run_scenario(spec, setup, b, cfg.obs);
         switch (run.budget_stop()) {
           case sim::EventLoop::BudgetStop::kNone:
             break;
@@ -351,7 +344,8 @@ std::vector<CellResult> run_sweep(
         return r;
       },
       on_result);
-  write_sweep_manifest(specs, results, c, s);
+  note_cache_stats(c.stats());
+  write_sweep_manifest(specs, results, c, cfg);
   return results;
 }
 

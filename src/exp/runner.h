@@ -10,13 +10,12 @@
 //     result callback fires in spec order regardless of completion order;
 //   * deterministic seeding — derive_seed(base, i) gives per-scenario base
 //     seeds that do not depend on thread scheduling;
-//   * a serial reference path (Options::serial, or jobs = 1) that executes
-//     in spec order on the calling thread, used by tests to assert
-//     parallel == serial.
+//   * a serial reference path (jobs = 1) that executes in spec order on
+//     the calling thread, used by tests to assert parallel == serial.
 //
-// Worker count: Options::jobs if > 0, else the NIMBUS_JOBS environment
-// variable (a positive integer; anything else CHECK-fails), else
-// std::thread::hardware_concurrency().
+// run_sweep's worker count, cache, shard, budget and telemetry all come
+// from one RunConfig (exp/run_config.h); nothing here reads the
+// environment.
 #pragma once
 
 #include <cstddef>
@@ -26,14 +25,14 @@
 #include <vector>
 
 #include "exp/result_cache.h"
+#include "exp/run_config.h"
 #include "exp/scenario.h"
 
 namespace nimbus::exp {
 
-/// Resolves a job count: `jobs` if > 0, else NIMBUS_JOBS (unset or empty
-/// skips it; a value that is not a positive integer CHECK-fails), else
-/// hardware concurrency (at least 1).
-int resolve_jobs(int jobs = 0);
+/// Resolves a job count: `jobs` if > 0, else hardware concurrency (at
+/// least 1).
+int resolve_jobs(int jobs);
 
 /// Deterministic per-scenario seed derivation (splitmix64 of base + index).
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index);
@@ -41,11 +40,10 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index);
 class ParallelRunner {
  public:
   struct Options {
-    int jobs = 0;         // 0 = NIMBUS_JOBS, then hardware_concurrency
+    int jobs = 0;         // 0 = hardware_concurrency
     bool serial = false;  // reference path: in-order on the calling thread
   };
 
-  ParallelRunner();  // default options
   explicit ParallelRunner(Options opts);
 
   /// Runs task(i) for every i in [0, n); blocks until all complete.  The
@@ -86,12 +84,6 @@ class ParallelRunner {
 using CellCollect =
     std::function<CellResult(const ScenarioSpec&, ScenarioRun&)>;
 
-/// Per-cell watchdog config for run_sweep, from the environment:
-/// NIMBUS_CELL_MAX_EVENTS (simulated-event budget) and NIMBUS_CELL_WALL_SEC
-/// (wall-clock seconds).  Unset or empty = unlimited; anything else must
-/// be a positive number or the parse CHECK-fails.
-RunBudget cell_budget_from_env();
-
 /// The sweep runner.  Builds and runs every spec (each scenario gets its
 /// own network/loop), reduces each finished run to a CellResult via
 /// `collect` (called on the worker thread, with the network still alive),
@@ -101,11 +93,14 @@ RunBudget cell_budget_from_env();
 /// per scenario on the worker thread after assembly and before the event
 /// loop starts, and must only touch the BuiltScenario it is handed.
 ///
+/// `cfg` (default: the process config) sets the worker count (1 is the
+/// serial reference path), cache, shard, cell budget and telemetry.
+///
 /// Cells are memoised and sharded.  Each spec is keyed by (spec_hash,
 /// spec.seed, code_fingerprint); a cache hit returns the stored
 /// CellResult without building a network (neither `setup` nor `collect`
 /// runs), a miss runs the scenario, applies `collect`, and (in readwrite
-/// mode) stores the summary.  Under an active NIMBUS_SHARD, cells outside
+/// mode) stores the summary.  Under an active cfg.shard, cells outside
 /// this process's shard are never computed: they are served from the
 /// cache when present and otherwise come back valid=false (NaN values) —
 /// see result_cache.h.  Specs that cannot be canonicalized
@@ -117,22 +112,18 @@ RunBudget cell_budget_from_env();
 /// spec.  So they may read only the spec they are handed and constants;
 /// any other captured value would let two different cells share a key.
 ///
-/// Watchdog: each computed cell runs under `budget` (null: the
-/// NIMBUS_CELL_MAX_EVENTS / NIMBUS_CELL_WALL_SEC env config; default
+/// Watchdog: each computed cell runs under cfg.budget (default
 /// unlimited).  A cell whose event loop trips the budget comes back
 /// valid=false with fail = kTimeout (wall) or kEventBudget (events)
 /// instead of stalling the suite; failed cells are never stored in the
 /// cache and `collect` is not called on their truncated runs.
 ///
-/// Under NIMBUS_OBS=counters|trace with NIMBUS_OBS_DIR set, every call
-/// writes one sweep manifest (see README "Observability").
+/// With cfg.obs on and cfg.obs.dir set, every call writes one sweep
+/// manifest; its summary row records cfg (see README "Observability").
 std::vector<CellResult> run_sweep(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
-    ParallelRunner::Options opts = {},
     const std::function<void(std::size_t, CellResult&)>& on_result = nullptr,
     const ScenarioSetup& setup = nullptr,
-    ResultCache* cache = nullptr,        // null: the NIMBUS_CACHE env cache
-    const ShardConfig* shard = nullptr,  // null: the NIMBUS_SHARD env config
-    const RunBudget* budget = nullptr);  // null: the env cell budget
+    const RunConfig& cfg = RunConfig::process());
 
 }  // namespace nimbus::exp

@@ -1,9 +1,6 @@
 #include "exp/scenario.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "cc/const_window.h"
@@ -363,60 +360,6 @@ BuiltScenario build_network(const ScenarioSpec& spec) {
   return out;
 }
 
-double positive_knob(const char* name, double fallback, bool whole,
-                     double max) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(x > 0.0 && x <= max) ||
-      (whole && x != std::floor(x))) {
-    char msg[256];
-    std::snprintf(msg, sizeof(msg),
-                  "%s must be a positive %s <= %.17g, got \"%.64s\"", name,
-                  whole ? "integer" : "number", max, v);
-    NIMBUS_CHECK_MSG(false, msg);
-  }
-  return x;
-}
-
-bool flag_knob(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0) return false;
-  if (std::strcmp(v, "1") != 0) {
-    char msg[256];
-    std::snprintf(msg, sizeof(msg),
-                  "%s must be unset, empty, 0 or 1, got \"%.64s\"", name, v);
-    NIMBUS_CHECK_MSG(false, msg);
-  }
-  return true;
-}
-
-obs::Mode obs_mode_from_env() {
-  // detlint:allow(R1): exp-layer telemetry config; never feeds sim state
-  const char* v = std::getenv("NIMBUS_OBS");
-  if (v == nullptr || v[0] == '\0' || std::strcmp(v, "off") == 0) {
-    return obs::Mode::kOff;
-  }
-  if (std::strcmp(v, "counters") == 0) return obs::Mode::kCounters;
-  if (std::strcmp(v, "trace") == 0) return obs::Mode::kTrace;
-  NIMBUS_CHECK_MSG(false, "NIMBUS_OBS must be off|counters|trace");
-  return obs::Mode::kOff;
-}
-
-std::string obs_dir_from_env() {
-  // detlint:allow(R1): exp-layer telemetry config; never feeds sim state
-  const char* v = std::getenv("NIMBUS_OBS_DIR");
-  return v != nullptr ? v : "";
-}
-
-std::size_t obs_ring_capacity_from_env() {
-  return static_cast<std::size_t>(
-      positive_knob("NIMBUS_OBS_RING",
-                    static_cast<double>(obs::FlightRecorder::kDefaultCapacity),
-                    true, static_cast<double>(kMaxObsRingCapacity)));
-}
-
 std::string obs_artifact_stem(const ScenarioSpec& spec) {
   std::string name = spec.name.empty() ? "scenario" : spec.name;
   for (char& ch : name) {
@@ -460,14 +403,13 @@ std::string export_trace_artifacts(const ScenarioSpec& spec,
 }
 
 ScenarioRun run_scenario(const ScenarioSpec& spec,
-                         const ScenarioSetup& setup,
-                         const RunBudget& budget) {
+                         const ScenarioSetup& setup, const RunBudget& budget,
+                         const ObsConfig& obs) {
   ScenarioRun run;
-  const obs::Mode obs_mode = obs_mode_from_env();
   run.built = build_network(spec);
-  if (obs_mode != obs::Mode::kOff) {
-    run.telemetry = std::make_unique<obs::Telemetry>(
-        obs_mode, obs_ring_capacity_from_env());
+  if (obs.mode != obs::Mode::kOff) {
+    run.telemetry =
+        std::make_unique<obs::Telemetry>(obs.mode, obs.ring_capacity);
     run.built.net->attach_telemetry(run.telemetry.get());
     const obs::Trace tr = run.telemetry->trace();
     if (run.built.nimbus != nullptr) {
@@ -505,7 +447,7 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
                                          budget.max_wall_seconds);
   }
   run.built.net->run_until(spec.duration);
-  export_trace_artifacts(spec, run, obs_dir_from_env());
+  export_trace_artifacts(spec, run, obs.dir);
   return run;
 }
 

@@ -285,9 +285,9 @@ struct ScenarioRun {
   std::unique_ptr<util::TimeSeries> eta_raw_log;
   std::unique_ptr<util::TimeSeries> z_log;
 
-  /// Per-run telemetry (NIMBUS_OBS=counters|trace); null when off.  Never
-  /// written to stdout: trace files go to NIMBUS_OBS_DIR, counter roll-ups
-  /// to CellResult/manifests.
+  /// Per-run telemetry (ObsConfig mode counters or trace); null when off.
+  /// Never written to stdout: trace files go to ObsConfig::dir, counter
+  /// roll-ups to CellResult/manifests.
   std::unique_ptr<obs::Telemetry> telemetry;
 
   /// Why the run stopped early, if a RunBudget tripped (kNone otherwise).
@@ -313,46 +313,19 @@ struct RunBudget {
   bool limited() const { return max_events != 0 || max_wall_seconds > 0.0; }
 };
 
-/// build_network + attach logs + run_until(spec.duration).
+/// Telemetry settings for one run (RunConfig::obs); the default is off.
+struct ObsConfig {
+  obs::Mode mode = obs::Mode::kOff;
+  std::string dir;  // trace and manifest artifacts ("" = none)
+  std::size_t ring_capacity = obs::FlightRecorder::kDefaultCapacity;
+};
+
+/// build_network + attach logs + run_until(spec.duration), with the
+/// telemetry `obs` asks for (off by default).
 ScenarioRun run_scenario(const ScenarioSpec& spec,
                          const ScenarioSetup& setup = nullptr,
-                         const RunBudget& budget = {});
-
-// ---------------------------------------------------------------------------
-// NIMBUS_* environment knobs.  Every numeric or on/off knob parses through
-// one of these two strict readers, so a typo CHECK-fails naming the
-// variable instead of silently meaning a default ("4x" is not 4, "true" is
-// not "1").
-// ---------------------------------------------------------------------------
-
-/// Unset or empty keeps `fallback`; any other value must parse completely
-/// as a positive number no larger than `max` (a whole one when `whole`).
-double positive_knob(const char* name, double fallback, bool whole,
-                     double max);
-
-/// Unset, empty or "0" is false and "1" is true; anything else CHECK-fails.
-bool flag_knob(const char* name);
-
-// ---------------------------------------------------------------------------
-// Telemetry configuration (NIMBUS_OBS).  Env parsing lives in the exp
-// layer — the one place getenv is detlint R1-legal — and is read per call
-// so tests can flip modes with setenv.  src/obs itself never reads the
-// environment.
-// ---------------------------------------------------------------------------
-
-/// NIMBUS_OBS: "off"/"" (default), "counters", "trace".  Unknown values
-/// CHECK-fail rather than silently dropping telemetry.
-obs::Mode obs_mode_from_env();
-
-/// NIMBUS_OBS_DIR: directory for trace/manifest artifacts ("" = none).
-std::string obs_dir_from_env();
-
-/// Largest NIMBUS_OBS_RING accepted: 4M events (~200 MB per traced cell).
-constexpr std::size_t kMaxObsRingCapacity = std::size_t{1} << 22;
-
-/// NIMBUS_OBS_RING: flight-recorder capacity override (default 16384): a
-/// positive integer <= kMaxObsRingCapacity, or the process CHECK-fails.
-std::size_t obs_ring_capacity_from_env();
+                         const RunBudget& budget = {},
+                         const ObsConfig& obs = {});
 
 /// Deterministic artifact stem for one (spec, seed) cell:
 /// "<sanitized-name>-<hash16>-s<seed>" — the hash is spec_hash for

@@ -1,8 +1,8 @@
 // Per-scenario telemetry bundle: one MetricsRegistry + one FlightRecorder
 // plus the mode that gates them.  Owned by exp::ScenarioRun; components
 // receive null-guarded handles, never the bundle, so sim/core stay
-// ignorant of configuration (which lives in the exp layer, where getenv
-// is detlint R1-legal).
+// ignorant of configuration (which lives in exp::RunConfig, the one
+// reader of the environment).
 #pragma once
 
 #include <cstddef>
@@ -17,6 +17,8 @@ enum class Mode {
   kCounters = 1, // metrics registry only
   kTrace = 2,    // metrics registry + flight recorder
 };
+/// Spellings (NIMBUS_OBS values), indexed by Mode.
+inline constexpr const char* kModeNames[] = {"off", "counters", "trace"};
 
 struct Telemetry {
   explicit Telemetry(Mode m,

@@ -302,12 +302,29 @@ TEST(ResultCacheTest, InvalidCellsAreNeverStored) {
 // cache=off vs warm cache: byte-identity on a real scenario grid.
 // ---------------------------------------------------------------------------
 
-std::vector<CellResult> run_grid(ResultCache* cache) {
+// A two-job sweep config caching in `dir` (no shard, no budget, obs off).
+RunConfig cache_config(const TempDir& dir, ResultCache::Mode mode) {
+  RunConfig cfg;
+  cfg.jobs = 2;
+  cfg.cache_dir = dir.str();
+  cfg.cache_mode = mode;
+  return cfg;
+}
+
+// The number of .cell entries stored under `root`.
+std::size_t count_entries(const fs::path& root) {
+  std::size_t n = 0;
+  for (const auto& e : fs::recursive_directory_iterator(root)) {
+    if (e.is_regular_file() && e.path().extension() == ".cell") ++n;
+  }
+  return n;
+}
+
+std::vector<CellResult> run_grid(const RunConfig& cfg) {
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 4; ++i) {
     specs.push_back(small_spec(derive_seed(/*base=*/7, i)));
   }
-  ShardConfig no_shard;  // pin 1/1 regardless of the test environment
   return run_sweep(
       specs,
       [](const ScenarioSpec& spec, ScenarioRun& run) {
@@ -320,21 +337,19 @@ std::vector<CellResult> run_grid(ResultCache* cache) {
         }
         return r;
       },
-      {/*jobs=*/2, /*serial=*/false}, nullptr, nullptr, cache, &no_shard);
+      nullptr, nullptr, cfg);
 }
 
 TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
   TempDir tmp;
-  ResultCache off(tmp.str(), ResultCache::Mode::kOff);
-  ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
+  const RunConfig rw = cache_config(tmp, ResultCache::Mode::kReadWrite);
 
-  const auto uncached = run_grid(&off);
-  const auto cold = run_grid(&rw);   // computes + stores
-  const auto warm = run_grid(&rw);   // pure hits
-
-  EXPECT_EQ(rw.stats().misses, 4);
-  EXPECT_EQ(rw.stats().stores, 4);
-  EXPECT_EQ(rw.stats().hits, 4);
+  const auto uncached = run_grid(cache_config(tmp, ResultCache::Mode::kOff));
+  EXPECT_EQ(count_entries(tmp.path), 0u);
+  const auto cold = run_grid(rw);  // computes + stores
+  EXPECT_EQ(count_entries(tmp.path), 4u);
+  const auto warm = run_grid(rw);  // pure hits
+  EXPECT_EQ(count_entries(tmp.path), 4u);
 
   ASSERT_EQ(uncached.size(), 4u);
   for (std::size_t i = 0; i < uncached.size(); ++i) {
@@ -350,8 +365,7 @@ TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
 // miss and is skipped, with collect, on a hit.  It reads only its spec.
 TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
   TempDir tmp;
-  ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
-  const ShardConfig no_shard;
+  const RunConfig rw = cache_config(tmp, ResultCache::Mode::kReadWrite);
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 3; ++i) {
     specs.push_back(small_spec(derive_seed(/*base=*/13, i)));
@@ -369,18 +383,14 @@ TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
     return CellResult::vec({static_cast<double>(rec.delivered(1).total()),
                             static_cast<double>(rec.total_drops())});
   };
-  const auto cold = run_sweep(specs, collect, {/*jobs=*/2, false}, nullptr,
-                              setup, &rw, &no_shard);
-  const auto warm = run_sweep(specs, collect, {/*jobs=*/2, false}, nullptr,
-                              setup, &rw, &no_shard);
+  const auto cold = run_sweep(specs, collect, nullptr, setup, rw);
+  const auto warm = run_sweep(specs, collect, nullptr, setup, rw);
   EXPECT_EQ(hooks.load(), 3) << "a cache hit must not run the setup hook";
   EXPECT_EQ(collects.load(), 3) << "a cache hit must not run collect";
-  EXPECT_EQ(rw.stats().stores, 3);
-  EXPECT_EQ(rw.stats().hits, 3);
+  EXPECT_EQ(count_entries(tmp.path), 3u);
 
-  ResultCache off(tmp.str(), ResultCache::Mode::kOff);
-  const auto unhooked =
-      run_sweep(specs, collect, {}, nullptr, nullptr, &off, &no_shard);
+  const auto unhooked = run_sweep(specs, collect, nullptr, nullptr,
+                                  cache_config(tmp, ResultCache::Mode::kOff));
   ASSERT_EQ(cold.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(cold[i].valid);
@@ -458,25 +468,21 @@ TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
         run.built.net->recorder().delivered(1).total()));
   };
 
-  ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
+  RunConfig rw = cache_config(tmp, ResultCache::Mode::kReadWrite);
   int computed = 0;
   for (int k = 1; k <= 2; ++k) {
-    const ShardConfig shard{k, 2};
-    const auto part =
-        run_sweep(specs, collect, {}, nullptr, nullptr, &rw, &shard);
+    rw.shard = {k, 2};
+    const auto part = run_sweep(specs, collect, nullptr, nullptr, rw);
     for (const auto& r : part) {
       if (r.valid && !r.from_cache) ++computed;
     }
   }
   EXPECT_EQ(computed, 4);  // each cell computed exactly once overall
 
-  ResultCache rd(tmp.str(), ResultCache::Mode::kRead);
-  ShardConfig full{1, 1};
-  const auto merged =
-      run_sweep(specs, collect, {}, nullptr, nullptr, &rd, &full);
-  ResultCache off(tmp.str(), ResultCache::Mode::kOff);
-  const auto direct =
-      run_sweep(specs, collect, {}, nullptr, nullptr, &off, &full);
+  const auto merged = run_sweep(specs, collect, nullptr, nullptr,
+                                cache_config(tmp, ResultCache::Mode::kRead));
+  const auto direct = run_sweep(specs, collect, nullptr, nullptr,
+                                cache_config(tmp, ResultCache::Mode::kOff));
   ASSERT_EQ(merged.size(), direct.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_TRUE(merged[i].valid);
@@ -487,16 +493,15 @@ TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
 
 TEST(ShardTest, OutOfShardCellsReadNaNPoison) {
   TempDir tmp;
-  ResultCache off(tmp.str(), ResultCache::Mode::kOff);
+  RunConfig off = cache_config(tmp, ResultCache::Mode::kOff);
+  off.shard = {1, 2};
   const std::vector<ScenarioSpec> specs = {small_spec(1), small_spec(2),
                                            small_spec(3), small_spec(4)};
   const CellCollect collect = [](const ScenarioSpec&, ScenarioRun& run) {
     return CellResult::scalar(static_cast<double>(
         run.built.net->recorder().delivered(1).total()));
   };
-  const ShardConfig shard{1, 2};
-  const auto part =
-      run_sweep(specs, collect, {}, nullptr, nullptr, &off, &shard);
+  const auto part = run_sweep(specs, collect, nullptr, nullptr, off);
   int valid = 0, skipped = 0;
   for (const auto& r : part) {
     if (r.valid) {

@@ -57,6 +57,22 @@ TEST(DetlintTest, R1FlagsNondeterminismApis) {
   EXPECT_NE(r.output.find("getenv"), std::string::npos) << r.output;
 }
 
+// getenv is legal in src/exp/run_config.cc alone, not the whole exp layer.
+TEST(DetlintTest, R1FlagsGetenvElsewhereInTheExpLayer) {
+  LintRun r =
+      run_detlint("--scope src " + fixture("src/exp/r1_exp_getenv.cc"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(count_of(r.output, "[R1]"), 1u) << r.output;
+  EXPECT_NE(r.output.find("getenv outside src/exp/run_config.cc"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(DetlintTest, R1PassesGetenvInTheRunConfigParse) {
+  LintRun r = run_detlint("--scope src " + fixture("src/exp/run_config.cc"));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
 TEST(DetlintTest, R1PassesDeterministicCode) {
   LintRun r = run_detlint("--scope src " + fixture("r1_good.cc"));
   EXPECT_EQ(r.exit_code, 0) << r.output;

@@ -475,15 +475,15 @@ ScenarioSpec quick_spec() {
 }
 
 TEST(WatchdogTest, EventBudgetYieldsFailedCellWithoutStallingTheRunner) {
-  exp::ResultCache off("", exp::ResultCache::Mode::kOff);
+  exp::RunConfig cfg;
+  cfg.budget = {/*max_events=*/200000, /*max_wall_seconds=*/0.0};
   const std::vector<ScenarioSpec> specs = {hung_spec(), quick_spec()};
-  const RunBudget budget{/*max_events=*/200000, /*max_wall_seconds=*/0.0};
   const auto results = exp::run_sweep(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun& run) {
         return CellResult::scalar(to_sec(run.built.net->loop().now()));
       },
-      {}, nullptr, nullptr, &off, nullptr, &budget);
+      nullptr, nullptr, cfg);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_EQ(results[0].fail, CellResult::Fail::kEventBudget);
@@ -494,15 +494,15 @@ TEST(WatchdogTest, EventBudgetYieldsFailedCellWithoutStallingTheRunner) {
 }
 
 TEST(WatchdogTest, WallClockTimeoutYieldsTimeoutCell) {
-  exp::ResultCache off("", exp::ResultCache::Mode::kOff);
+  exp::RunConfig cfg;
+  cfg.budget = {0, /*max_wall_seconds=*/0.1};
   const std::vector<ScenarioSpec> specs = {hung_spec()};
-  const RunBudget budget{0, /*max_wall_seconds=*/0.1};
   const auto results = exp::run_sweep(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun&) {
         return CellResult::scalar(1.0);
       },
-      {}, nullptr, nullptr, &off, nullptr, &budget);
+      nullptr, nullptr, cfg);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_EQ(results[0].fail, CellResult::Fail::kTimeout);
@@ -514,16 +514,22 @@ TEST(WatchdogTest, FailedCellsAreNeverStoredInTheCache) {
       fs::temp_directory_path() /
       ("nimbus-impair-wd-" + std::to_string(::getpid()));
   fs::create_directories(dir);
-  exp::ResultCache rw(dir.string(), exp::ResultCache::Mode::kReadWrite);
+  exp::RunConfig cfg;
+  cfg.cache_mode = exp::ResultCache::Mode::kReadWrite;
+  cfg.cache_dir = dir.string();
+  cfg.budget = {/*max_events=*/200000, 0.0};
   const std::vector<ScenarioSpec> specs = {hung_spec(), quick_spec()};
-  const RunBudget budget{/*max_events=*/200000, 0.0};
   exp::run_sweep(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun& run) {
         return CellResult::scalar(to_sec(run.built.net->loop().now()));
       },
-      {}, nullptr, nullptr, &rw, nullptr, &budget);
-  EXPECT_EQ(rw.stats().stores, 1);  // only the completed cell
+      nullptr, nullptr, cfg);
+  std::size_t stored = 0;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    stored += e.path().extension() == ".cell";
+  }
+  EXPECT_EQ(stored, 1u);  // only the completed cell
   std::error_code ec;
   fs::remove_all(dir, ec);
 }

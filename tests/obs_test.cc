@@ -211,10 +211,10 @@ exp::ScenarioSpec obs_spec(std::uint64_t seed) {
 }
 
 TEST(ObsScenarioTest, IdenticalSeedsEmitIdenticalTelemetry) {
-  ::setenv("NIMBUS_OBS", "trace", 1);
-  exp::ScenarioRun a = exp::run_scenario(obs_spec(7));
-  exp::ScenarioRun b = exp::run_scenario(obs_spec(7));
-  ::unsetenv("NIMBUS_OBS");
+  exp::ObsConfig trace;
+  trace.mode = obs::Mode::kTrace;
+  exp::ScenarioRun a = exp::run_scenario(obs_spec(7), nullptr, {}, trace);
+  exp::ScenarioRun b = exp::run_scenario(obs_spec(7), nullptr, {}, trace);
   ASSERT_NE(a.telemetry, nullptr);
   ASSERT_NE(b.telemetry, nullptr);
   EXPECT_EQ(a.telemetry->metrics.snapshot(), b.telemetry->metrics.snapshot());
@@ -259,17 +259,11 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
     return exp::CellResult::scalar(exp::score_accuracy(run, spec));
   };
   const auto sweep = [&](const std::string& dir, bool serial) {
-    ::setenv("NIMBUS_OBS", "counters", 1);
-    ::setenv("NIMBUS_OBS_DIR", dir.c_str(), 1);
-    exp::ResultCache cache("", exp::ResultCache::Mode::kOff);
-    exp::ShardConfig shard;  // inactive
-    exp::RunBudget budget;   // unlimited
-    const auto results = exp::run_sweep(
-        specs, collect, {/*jobs=*/4, serial}, nullptr, nullptr, &cache,
-        &shard, &budget);
-    ::unsetenv("NIMBUS_OBS");
-    ::unsetenv("NIMBUS_OBS_DIR");
-    return results;
+    exp::RunConfig cfg;  // no cache, no shard, unlimited budget
+    cfg.jobs = serial ? 1 : 4;
+    cfg.obs.mode = obs::Mode::kCounters;
+    cfg.obs.dir = dir;
+    return exp::run_sweep(specs, collect, nullptr, nullptr, cfg);
   };
   const std::string dir_s =
       std::filesystem::temp_directory_path() / "obs_manifest_serial";
@@ -290,7 +284,7 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
   ASSERT_FALSE(mp.empty());
   const std::string serial_manifest = read_file(ms);
   EXPECT_EQ(serial_manifest, read_file(mp))
-      << "NIMBUS_JOBS must not change the sweep manifest";
+      << "the job count must not change the sweep manifest";
   // Every row (and the trailing summary) is standalone JSON, and the
   // per-cell roll-ups made it in.
   std::istringstream lines(serial_manifest);
@@ -304,6 +298,13 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
   EXPECT_NE(serial_manifest.find("run.events_processed"), std::string::npos);
   EXPECT_NE(serial_manifest.find("loop.events_fired"), std::string::npos);
   EXPECT_NE(serial_manifest.find("\"sweep\""), std::string::npos);
+  // The summary row records the config the sweep ran under.
+  EXPECT_NE(serial_manifest.find(
+                "\"config\":{\"cache\":\"off\",\"shard\":\"1/1\","
+                "\"obs\":\"counters\",\"obs_ring\":16384,"
+                "\"cell_max_events\":0,\"cell_wall_sec\":0}"),
+            std::string::npos)
+      << serial_manifest;
   std::filesystem::remove_all(dir_s);
   std::filesystem::remove_all(dir_p);
 }
@@ -316,50 +317,23 @@ TEST(ObsSweepDeathTest, MissingObsDirFailsLoudlyInCountersMode) {
   exp::ScenarioSpec spec = obs_spec(7);
   spec.duration = from_sec(1);
   const auto sweep = [&] {
-    ::setenv("NIMBUS_OBS", "counters", 1);
-    ::setenv("NIMBUS_OBS_DIR", dir.c_str(), 1);
-    exp::ResultCache off("", exp::ResultCache::Mode::kOff);
+    exp::RunConfig cfg;
+    cfg.obs.mode = obs::Mode::kCounters;
+    cfg.obs.dir = dir;
     exp::run_sweep(
         {spec},
         [](const exp::ScenarioSpec&, exp::ScenarioRun&) {
           return exp::CellResult::scalar(1.0);
         },
-        {/*jobs=*/1, true}, nullptr, nullptr, &off);
+        nullptr, nullptr, cfg);
   };
   EXPECT_DEATH(sweep(), "cannot open NIMBUS_OBS_DIR sweep manifest");
 }
 
-// NIMBUS_OBS_RING goes through the strict knob parser: trailing junk,
-// non-integers and values past the cap CHECK-fail instead of truncating
-// ("4x" is not 4) or saturating to an enormous ring.
-TEST(ObsEnvTest, ObsRingCapacityParsesStrictly) {
-  ::unsetenv("NIMBUS_OBS_RING");
-  EXPECT_EQ(exp::obs_ring_capacity_from_env(),
-            obs::FlightRecorder::kDefaultCapacity);
-  ::setenv("NIMBUS_OBS_RING", "1e3", 1);
-  EXPECT_EQ(exp::obs_ring_capacity_from_env(), 1000u);
-  ::setenv("NIMBUS_OBS_RING", "4096", 1);
-  EXPECT_EQ(exp::obs_ring_capacity_from_env(), 4096u);
-  ::unsetenv("NIMBUS_OBS_RING");
-}
-
-TEST(ObsEnvDeathTest, ObsRingRejectsGarbage) {
-  const auto ring = [](const char* value) {
-    ::setenv("NIMBUS_OBS_RING", value, 1);
-    (void)exp::obs_ring_capacity_from_env();
-  };
-  EXPECT_DEATH(ring("4x"), "NIMBUS_OBS_RING must be a positive integer");
-  EXPECT_DEATH(ring("2.5"), "NIMBUS_OBS_RING");
-  EXPECT_DEATH(ring("0"), "NIMBUS_OBS_RING");
-  EXPECT_DEATH(ring("99999999999999999999"), "NIMBUS_OBS_RING");
-}
-
 TEST(ObsSweepTest, BudgetTrippedCellCarriesPostMortem) {
-  ::setenv("NIMBUS_OBS", "trace", 1);
-  exp::ResultCache cache("", exp::ResultCache::Mode::kOff);
-  exp::ShardConfig shard;
-  exp::RunBudget budget;
-  budget.max_events = 20000;  // trips mid-run, well after traffic starts
+  exp::RunConfig cfg;
+  cfg.obs.mode = obs::Mode::kTrace;
+  cfg.budget.max_events = 20000;  // trips mid-run, well after traffic starts
   const std::vector<exp::ScenarioSpec> specs = {obs_spec(7)};
   const auto results = exp::run_sweep(
       specs,
@@ -367,9 +341,7 @@ TEST(ObsSweepTest, BudgetTrippedCellCarriesPostMortem) {
         ADD_FAILURE() << "collect must not run on a truncated cell";
         return exp::CellResult::scalar(0.0);
       },
-      {/*jobs=*/1, /*serial=*/true}, nullptr, nullptr, &cache, &shard,
-      &budget);
-  ::unsetenv("NIMBUS_OBS");
+      nullptr, nullptr, cfg);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_STREQ(results[0].fail_label(), "EVENT-BUDGET");

@@ -1,17 +1,14 @@
 // Tests for the scenario layer (exp/scenario.h) and the parallel runner
 // (exp/runner.h): spec assembly, run-to-run determinism of a fixed seed,
-// parallel == serial equivalence through run_sweep, and the runner's
-// environment knobs.
+// and parallel == serial equivalence through run_sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
-#include "../bench/common.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
 
@@ -97,79 +94,6 @@ TEST(ParallelRunnerTest, CallbackExceptionPropagatesLikeSerial) {
                      if (i == 3) throw std::runtime_error("cb boom");
                    }),
                std::runtime_error);
-}
-
-TEST(ParallelRunnerTest, JobsResolution) {
-  EXPECT_EQ(ParallelRunner({/*jobs=*/3, /*serial=*/false}).jobs(), 3);
-  ::setenv("NIMBUS_JOBS", "5", 1);
-  EXPECT_EQ(ParallelRunner().jobs(), 5);
-  ::setenv("NIMBUS_JOBS", "", 1);  // empty keeps the default
-  EXPECT_GE(ParallelRunner().jobs(), 1);
-  ::unsetenv("NIMBUS_JOBS");
-  EXPECT_GE(ParallelRunner().jobs(), 1);
-}
-
-// Runner knobs are either unset/empty (the default) or a positive number;
-// garbage, trailing junk and non-positive values CHECK-fail naming the
-// variable instead of silently meaning "default" or "unlimited".
-template <typename Parse>
-void parse_with(const char* var, const char* value, Parse parse) {
-  ::setenv(var, value, 1);
-  parse();
-}
-
-TEST(RunnerEnvDeathTest, NimbusJobsRejectsGarbage) {
-  const auto jobs = [] { resolve_jobs(); };
-  EXPECT_DEATH(parse_with("NIMBUS_JOBS", "4x", jobs),
-               "NIMBUS_JOBS must be a positive integer");
-  EXPECT_DEATH(parse_with("NIMBUS_JOBS", "0", jobs), "NIMBUS_JOBS");
-}
-
-TEST(RunnerEnvDeathTest, CellMaxEventsRejectsGarbage) {
-  ::setenv("NIMBUS_CELL_MAX_EVENTS", "250000", 1);
-  EXPECT_EQ(cell_budget_from_env().max_events, 250000u);
-  ::unsetenv("NIMBUS_CELL_MAX_EVENTS");
-  EXPECT_EQ(cell_budget_from_env().max_events, 0u);
-  const auto budget = [] { cell_budget_from_env(); };
-  EXPECT_DEATH(parse_with("NIMBUS_CELL_MAX_EVENTS", "abc", budget),
-               "NIMBUS_CELL_MAX_EVENTS must be a positive integer");
-}
-
-TEST(RunnerEnvDeathTest, CellWallSecRejectsGarbage) {
-  ::setenv("NIMBUS_CELL_WALL_SEC", "1.5", 1);
-  EXPECT_EQ(cell_budget_from_env().max_wall_seconds, 1.5);
-  ::unsetenv("NIMBUS_CELL_WALL_SEC");
-  const auto budget = [] { cell_budget_from_env(); };
-  EXPECT_DEATH(parse_with("NIMBUS_CELL_WALL_SEC", "2s", budget),
-               "NIMBUS_CELL_WALL_SEC must be a positive number");
-  EXPECT_DEATH(parse_with("NIMBUS_CELL_WALL_SEC", "-1", budget),
-               "NIMBUS_CELL_WALL_SEC");
-}
-
-// On/off knobs accept only unset, empty, "0" or "1": "10" is not on, and a
-// typo such as NIMBUS_SHAPE_STRICT=true must not silently turn the strict
-// shape gate off.  The bench helpers read their flags through flag_knob.
-TEST(RunnerEnvTest, FlagKnobReadsZeroAndOne) {
-  ::unsetenv("NIMBUS_SHAPE_STRICT");
-  EXPECT_FALSE(bench::shape_strict());
-  ::setenv("NIMBUS_SHAPE_STRICT", "", 1);
-  EXPECT_FALSE(bench::shape_strict());
-  ::setenv("NIMBUS_SHAPE_STRICT", "0", 1);
-  EXPECT_FALSE(bench::shape_strict());
-  ::setenv("NIMBUS_SHAPE_STRICT", "1", 1);
-  EXPECT_TRUE(bench::shape_strict());
-  ::unsetenv("NIMBUS_SHAPE_STRICT");
-}
-
-TEST(RunnerEnvDeathTest, FlagKnobsRejectGarbage) {
-  const auto strict = [] { (void)bench::shape_strict(); };
-  EXPECT_DEATH(parse_with("NIMBUS_SHAPE_STRICT", "true", strict),
-               "NIMBUS_SHAPE_STRICT must be unset, empty, 0 or 1");
-  EXPECT_DEATH(parse_with("NIMBUS_SHAPE_STRICT", "10", strict),
-               "NIMBUS_SHAPE_STRICT");
-  const auto full = [] { (void)bench::full_run(); };
-  EXPECT_DEATH(parse_with("NIMBUS_BENCH_FULL", "yes", full),
-               "NIMBUS_BENCH_FULL must be unset, empty, 0 or 1");
 }
 
 TEST(ParallelRunnerTest, DerivedSeedsAreDeterministicAndDistinct) {
@@ -382,13 +306,11 @@ TEST(ScenarioTest, DifferentSeedsDiverge) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel == serial, through run_sweep with the cache and sharding pinned
-// off (every cell computed, whatever the environment says).
+// Parallel == serial, through run_sweep under a hermetic RunConfig (no
+// cache, no shard: every cell computed, whatever the environment says).
 // ---------------------------------------------------------------------------
 
 TEST(RunnerScenarioTest, ParallelMatchesSerialExactly) {
-  ResultCache off("", ResultCache::Mode::kOff);
-  const ShardConfig no_shard;
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 4; ++i) {
     specs.push_back(small_spec(derive_seed(/*base=*/7, i)));
@@ -396,10 +318,11 @@ TEST(RunnerScenarioTest, ParallelMatchesSerialExactly) {
   const CellCollect collect = [](const ScenarioSpec& spec, ScenarioRun& run) {
     return CellResult::vec(recorder_digest(spec, run));
   };
-  const auto parallel = run_sweep(specs, collect, {/*jobs=*/4, false},
-                                  nullptr, nullptr, &off, &no_shard);
-  const auto serial = run_sweep(specs, collect, {/*jobs=*/4, true}, nullptr,
-                                nullptr, &off, &no_shard);
+  RunConfig cfg;
+  cfg.jobs = 4;
+  const auto parallel = run_sweep(specs, collect, nullptr, nullptr, cfg);
+  cfg.jobs = 1;  // the serial reference path
+  const auto serial = run_sweep(specs, collect, nullptr, nullptr, cfg);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_FALSE(parallel[i].from_cache);
@@ -409,8 +332,8 @@ TEST(RunnerScenarioTest, ParallelMatchesSerialExactly) {
 }
 
 TEST(RunnerScenarioTest, ResultCallbackInSpecOrderWithResults) {
-  ResultCache off("", ResultCache::Mode::kOff);
-  const ShardConfig no_shard;
+  RunConfig cfg;
+  cfg.jobs = 3;
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 3; ++i) {
     specs.push_back(small_spec(derive_seed(11, i)));
@@ -422,12 +345,11 @@ TEST(RunnerScenarioTest, ResultCallbackInSpecOrderWithResults) {
         return CellResult::scalar(static_cast<double>(
             run.built.net->recorder().delivered(1).total()));
       },
-      {/*jobs=*/3, /*serial=*/false},
       [&](std::size_t i, CellResult& bytes) {
         order.push_back(i);
         EXPECT_GT(bytes.value(), 0.0);
       },
-      nullptr, &off, &no_shard);
+      nullptr, cfg);
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
 }
 
