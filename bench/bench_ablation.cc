@@ -4,9 +4,7 @@
 //   3. FFT window duration (1-10 s) accuracy trade-off;
 //   4. the 5 s rate reset when switching to competitive mode.
 //
-// Experiments 3 and 4 are scenario sweeps through exp::run_sweep;
-// experiment 1 drives its two runs through the ParallelRunner directly,
-// because its detector hooks the Nimbus status stream run_scenario owns.
+// Experiments 1, 3 and 4 are scenario sweeps through exp::run_sweep.
 #include <complex>
 
 #include "common.h"
@@ -32,17 +30,13 @@ exp::ScenarioSpec xcorr_spec(const std::string& kind, TimeNs duration) {
   return spec;
 }
 
-double xcorr_detector(const exp::ScenarioSpec& spec) {
-  auto built = exp::build_network(spec);
-  util::TimeSeries s, z;
-  built.nimbus->set_status_handler([&](const core::Nimbus::Status& st) {
-    s.add(st.now, st.base_rate_bps);
-    z.add(st.now, st.z_bps);
-  });
-  built.net->run_until(spec.duration);
-  // Max |correlation| of the last 5 s over lags 0..300 ms.
-  const auto sv = s.resample(spec.duration - from_sec(5), from_ms(10), 500);
-  const auto zv = z.resample(spec.duration - from_sec(5), from_ms(10), 500);
+// Max |correlation| of the run's base rate S(t) and cross-traffic estimate
+// z(t) over the last 5 s, across lags 0..300 ms.
+double xcorr_detector(const exp::ScenarioSpec& spec,
+                      const exp::ScenarioRun& run) {
+  const TimeNs t0 = spec.duration - from_sec(5);
+  const auto sv = run.rate_log->resample(t0, from_ms(10), 500);
+  const auto zv = run.z_log->resample(t0, from_ms(10), 500);
   auto centered = [](std::vector<double> v) {
     double m = 0;
     for (double x : v) m += x;
@@ -95,17 +89,17 @@ exp::ScenarioSpec reset_spec(bool enable_reset, TimeNs duration) {
 
 int main() {
   const TimeNs duration = dur(60, 30);
-  exp::ParallelRunner runner({exp::RunConfig::process().jobs});
 
   // 1. Frequency vs time domain.
   std::printf("ablation,experiment,variant,value\n");
   const std::vector<exp::ScenarioSpec> xcorr_specs = {
       xcorr_spec("elastic", duration), xcorr_spec("inelastic", duration)};
-  const auto xcorr = runner.map<double>(
-      xcorr_specs.size(),
-      [&](std::size_t i) { return xcorr_detector(xcorr_specs[i]); });
-  const double xc_e = xcorr[0];
-  const double xc_i = xcorr[1];
+  const auto xcorr = exp::run_sweep(
+      xcorr_specs, [](const exp::ScenarioSpec& s, exp::ScenarioRun& run) {
+        return exp::CellResult::scalar(xcorr_detector(s, run));
+      });
+  const double xc_e = xcorr[0].value();
+  const double xc_i = xcorr[1].value();
   row("ablation", "xcorr,elastic", {xc_e});
   row("ablation", "xcorr,inelastic", {xc_i});
   // The point of the ablation (section 3.3's rejected first design): the

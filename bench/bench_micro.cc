@@ -10,12 +10,12 @@
 // Some workloads run twice in one binary so `scripts/bench_report.sh` can
 // gate a same-process ratio: the production structure against its
 // executable-spec oracle from tests/oracles/ (spectral detector, rate
-// sampler), the warm result cache against cold compute, the bucketed
-// ByteCounter against per-packet appends, and counters-on telemetry
-// against off.  The event-loop benches are single-sided: their banked
-// wins are guarded by the allocation and batch-drain tests in
-// tests/event_loop_test.cc, and the report records their absolute
-// throughput for trajectory.
+// sampler), the warm result cache against cold compute, and counters-on
+// telemetry against off.  The event-loop and ByteCounter benches are
+// single-sided: their banked wins are guarded by deterministic tests
+// (allocation and batch-drain tests in tests/event_loop_test.cc, the
+// stored-sample count in tests/util_test.cc), and the report records their
+// absolute throughput for trajectory.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -327,22 +327,19 @@ void BM_AckPathRateSamplerDequeLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_AckPathRateSamplerDequeLegacy)->Arg(64)->Arg(256)->Arg(1024);
 
-// --- delivery path: ByteCounter, per-packet appends vs 1 ms buckets -----
+// --- delivery path: ByteCounter with 1 ms buckets ----------------------
 
-// The pre-PR 5 ByteCounter stored one (time, cumulative) pair per
-// delivered packet.  The recorder now constructs bucketed counters
-// (util::ByteCounter(from_ms(1))): same aligned-query answers, ~8x fewer
-// stored samples at paper packet rates, and the common-case add is a
-// back-of-vector overwrite.  A default-constructed counter *is* the
-// legacy implementation, so the A/B is same-binary.  Items = adds.
-template <bool kBucketed>
-void byte_counter_add_workload(benchmark::State& state) {
+// The recorder's per-flow delivered-bytes counter: adds inside one 1 ms
+// bucket overwrite the running cumulative, so a 96 Mbit/s flow stores one
+// sample per millisecond instead of one per packet
+// (ByteCounterTest.BenchWorkloadStoresOneSamplePerBucket pins the count for
+// this exact workload).  Items = adds.
+void BM_DeliveryByteCounterBucketed(benchmark::State& state) {
   constexpr int kAdds = 32768;
   constexpr TimeNs kSpacing = 125'000;  // 8000 pkt/s, a 96 Mbit/s flow
   std::int64_t sink = 0;
   for (auto _ : state) {
-    util::ByteCounter c =
-        kBucketed ? util::ByteCounter(from_ms(1)) : util::ByteCounter();
+    util::ByteCounter c;
     TimeNs t = 0;
     for (int i = 0; i < kAdds; ++i) {
       t += kSpacing;
@@ -357,16 +354,7 @@ void byte_counter_add_workload(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kAdds);
 }
-
-void BM_DeliveryByteCounterBucketed(benchmark::State& state) {
-  byte_counter_add_workload<true>(state);
-}
 BENCHMARK(BM_DeliveryByteCounterBucketed);
-
-void BM_DeliveryByteCounterPerPacketLegacy(benchmark::State& state) {
-  byte_counter_add_workload<false>(state);
-}
-BENCHMARK(BM_DeliveryByteCounterPerPacketLegacy);
 
 // --- sweep cells: warm disk cache vs cold compute -----------------------
 

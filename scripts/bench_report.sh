@@ -22,10 +22,10 @@
 #
 # The paired "before" numbers come from the same binary: bench_micro runs
 # the spectral detector and rate sampler against their executable-spec
-# oracles (tests/oracles/), the ByteCounter against its per-packet mode,
-# warm sweep cells against cold compute, and the steady-state event loop
-# with telemetry counters on against off.  The event-loop benches are
-# recorded as absolute throughput only.  All micro numbers are medians of
+# oracles (tests/oracles/), warm sweep cells against cold compute, and the
+# steady-state event loop with telemetry counters on against off.  The
+# event-loop and ByteCounter benches are recorded as absolute throughput
+# only.  All micro numbers are medians of
 # 3 repetitions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -181,12 +181,12 @@ report = {
         "timer_rearm": single("BM_TimerRearm"),
         "same_time_burst": single("BM_EventLoopSameTimeBurst"),
     },
-    # Per-packet (time, cumulative) appends vs 1 ms-bucketed sampling; the
-    # default-constructed ByteCounter IS the per-packet implementation, so
-    # the pair is same-binary.  Gated.
+    # The 1 ms-bucketed delivered-bytes counter.  Its structural win (one
+    # stored sample per bucket, not per packet) is guarded by
+    # ByteCounterTest.BenchWorkloadStoresOneSamplePerBucket, which is
+    # deterministic; this absolute number is trajectory only.
     "delivery_byte_counter": {
-        "bucketed_1ms": pair("BM_DeliveryByteCounterBucketed",
-                             "BM_DeliveryByteCounterPerPacketLegacy", True),
+        "bucketed_1ms": single("BM_DeliveryByteCounterBucketed"),
     },
     # The per-report spectral path: the production ElasticityDetector
     # (sliding-DFT engine: O(tracked bins) per z sample, O(1) per bin per

@@ -22,16 +22,12 @@ namespace nimbus::cc {
 
 class Bbr final : public sim::CcAlgorithm {
  public:
-  struct Params {
-    double startup_gain = 2.885;   // 2/ln(2)
-    double cwnd_gain = 2.0;
-    int bw_window_rtts = 10;
-    TimeNs min_rtt_window = from_sec(10);
-    TimeNs probe_rtt_duration = from_ms(200);
-  };
+  static constexpr double kStartupGain = 2.885;  // 2/ln(2)
+  static constexpr double kCwndGain = 2.0;
+  static constexpr int kBwWindowRtts = 10;
+  static constexpr TimeNs kMinRttWindow = from_sec(10);
+  static constexpr TimeNs kProbeRttDuration = from_ms(200);
 
-  Bbr();
-  explicit Bbr(const Params& params);
   std::string name() const override { return "bbr"; }
   void init(sim::CcContext& ctx) override;
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;
@@ -49,7 +45,6 @@ class Bbr final : public sim::CcAlgorithm {
   void apply_control(sim::CcContext& ctx);
   double bdp_bytes() const;
 
-  Params p_;
   State state_ = State::kStartup;
   util::WindowedMax btl_bw_{0};   // window set from RTT at runtime
   util::WindowedMin rt_prop_{0};

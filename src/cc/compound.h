@@ -11,16 +11,12 @@ namespace nimbus::cc {
 
 class Compound final : public sim::CcAlgorithm {
  public:
-  struct Params {
-    double alpha = 0.125;
-    double beta = 0.5;
-    double k = 0.75;
-    double gamma_pkts = 30.0;  // queue backlog threshold (packets)
-    double zeta = 1.0;         // dwnd decrease factor
-  };
+  static constexpr double kAlpha = 0.125;
+  static constexpr double kBeta = 0.5;
+  static constexpr double kK = 0.75;
+  static constexpr double kGammaPkts = 30.0;  // queue backlog threshold
+  static constexpr double kZeta = 1.0;        // dwnd decrease factor
 
-  Compound();
-  explicit Compound(const Params& params);
   std::string name() const override { return "compound"; }
   void init(sim::CcContext& ctx) override;
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;
@@ -30,7 +26,6 @@ class Compound final : public sim::CcAlgorithm {
  private:
   void push_window(sim::CcContext& ctx);
 
-  Params p_;
   RenoCore loss_window_;
   double dwnd_ = 0;           // delay window (packets)
   TimeNs next_update_ = 0;    // per-RTT delay-window update

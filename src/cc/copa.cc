@@ -70,20 +70,16 @@ void CopaCore::on_rto() {
   slow_start_ = false;
 }
 
-Copa::Copa() : Copa(Params()) {}
-
-Copa::Copa(const Params& params) : p_(params), core_(params.default_delta) {}
-
 void Copa::init(sim::CcContext& ctx) {
   core_.init(ctx.cwnd_bytes() / ctx.mss());
   competitive_ = false;
-  inv_delta_ = 1.0 / p_.default_delta;
+  inv_delta_ = 1.0 / kDefaultDelta;
   ctx.set_pacing_rate_bps(0);  // window-driven; see pacing note below
 }
 
 void Copa::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
   const TimeNs window =
-      static_cast<TimeNs>(p_.window_rtts) * std::max(ctx.srtt(), from_ms(1));
+      static_cast<TimeNs>(kWindowRtts) * std::max(ctx.srtt(), from_ms(1));
   dq_min_.set_window(window);
   dq_max_.set_window(window);
 
@@ -105,7 +101,7 @@ void Copa::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
     }
     core_.set_delta(1.0 / std::max(inv_delta_, 2.0));
   } else {
-    core_.set_delta(p_.default_delta);
+    core_.set_delta(kDefaultDelta);
   }
 
   ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
@@ -119,19 +115,19 @@ void Copa::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
 
 void Copa::update_mode(sim::CcContext& ctx, TimeNs now, double /*dq_sec*/) {
   // Need a full detection window of samples after startup.
-  if (ctx.srtt() == 0 || now < static_cast<TimeNs>(p_.window_rtts) * ctx.srtt()) {
+  if (ctx.srtt() == 0 || now < static_cast<TimeNs>(kWindowRtts) * ctx.srtt()) {
     return;
   }
   const double mn = dq_min_.get_unexpired();
   const double mx = dq_max_.get_unexpired();
   // "Nearly empty": the queue dipped below empty_fraction of its recent
   // peak (with a small absolute floor) at least once within the window.
-  const double threshold = std::max(p_.empty_fraction * mx, 0.0005);
+  const double threshold = std::max(kEmptyFraction * mx, 0.0005);
   const bool emptied = mn < threshold;
   const bool was_competitive = competitive_;
   competitive_ = !emptied;
   if (competitive_ && !was_competitive) {
-    inv_delta_ = 1.0 / p_.default_delta;
+    inv_delta_ = 1.0 / kDefaultDelta;
     loss_this_rtt_ = false;
     last_delta_update_ = now;
   }

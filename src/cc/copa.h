@@ -60,16 +60,12 @@ class CopaCore {
 /// Full Copa with default/competitive mode switching.
 class Copa final : public sim::CcAlgorithm {
  public:
-  struct Params {
-    double default_delta = 0.5;
-    /// Queue is "nearly empty" if dq < this fraction of the recent peak.
-    double empty_fraction = 0.1;
-    /// Switch window: queue must nearly empty once per this many RTTs.
-    int window_rtts = 5;
-  };
+  static constexpr double kDefaultDelta = 0.5;
+  /// Queue is "nearly empty" if dq < this fraction of the recent peak.
+  static constexpr double kEmptyFraction = 0.1;
+  /// Switch window: queue must nearly empty once per this many RTTs.
+  static constexpr int kWindowRtts = 5;
 
-  Copa();
-  explicit Copa(const Params& params);
   std::string name() const override { return "copa"; }
   void init(sim::CcContext& ctx) override;
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;
@@ -81,11 +77,10 @@ class Copa final : public sim::CcAlgorithm {
  private:
   void update_mode(sim::CcContext& ctx, TimeNs now, double dq_sec);
 
-  Params p_;
-  CopaCore core_;
+  CopaCore core_{kDefaultDelta};
   bool competitive_ = false;
 
-  // Mode detection: sliding min/max of dq over the last window_rtts RTTs.
+  // Mode detection: sliding min/max of dq over the last kWindowRtts RTTs.
   util::WindowedMin dq_min_{from_ms(250)};
   util::WindowedMax dq_max_{from_ms(250)};
 

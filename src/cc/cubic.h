@@ -15,15 +15,8 @@ namespace nimbus::cc {
 /// Cubic window arithmetic in packets.
 class CubicCore {
  public:
-  struct Params {
-    double c = 0.4;        // cubic scaling constant
-    double beta = 0.7;     // multiplicative decrease factor
-    bool fast_convergence = true;
-    bool tcp_friendly = true;
-  };
-
-  CubicCore();
-  explicit CubicCore(const Params& params);
+  static constexpr double kC = 0.4;     // cubic scaling constant
+  static constexpr double kBeta = 0.7;  // multiplicative decrease factor
 
   void init(double initial_cwnd_pkts);
   /// Per-ACK update; `srtt` feeds the target-window lookahead and the
@@ -42,7 +35,6 @@ class CubicCore {
  private:
   double cubic_window(double t_sec) const;
 
-  Params p_;
   double cwnd_ = 10;
   double ssthresh_ = 1e9;
   double w_max_ = 0;
@@ -54,7 +46,6 @@ class CubicCore {
 
 class Cubic final : public sim::CcAlgorithm {
  public:
-  explicit Cubic(const CubicCore::Params& params = CubicCore::Params());
   std::string name() const override { return "cubic"; }
   void init(sim::CcContext& ctx) override;
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;

@@ -4,10 +4,6 @@
 
 namespace nimbus::cc {
 
-VegasCore::VegasCore() : VegasCore(Params()) {}
-
-VegasCore::VegasCore(const Params& params) : p_(params) {}
-
 void VegasCore::init(double initial_cwnd_pkts) {
   cwnd_ = initial_cwnd_pkts;
   slow_start_ = true;
@@ -23,10 +19,9 @@ void VegasCore::on_ack(TimeNs now, TimeNs rtt, TimeNs base_rtt,
   const double rtt_s = to_sec(rtt);
   const double base_s = to_sec(base_rtt);
   const double diff = cwnd_ * (rtt_s - base_s) / rtt_s;
-  last_diff_ = diff;
 
   if (slow_start_) {
-    if (diff > p_.gamma) {
+    if (diff > kGamma) {
       slow_start_ = false;
       cwnd_ = std::max(cwnd_ - diff, 2.0);  // back off the surplus
     } else if (grow_this_rtt_) {
@@ -39,9 +34,9 @@ void VegasCore::on_ack(TimeNs now, TimeNs rtt, TimeNs base_rtt,
   grow_this_rtt_ = !grow_this_rtt_;
   if (slow_start_) return;
 
-  if (diff < p_.alpha) {
+  if (diff < kAlpha) {
     cwnd_ += 1.0;
-  } else if (diff > p_.beta) {
+  } else if (diff > kBeta) {
     cwnd_ -= 1.0;
   }
   cwnd_ = std::max(cwnd_, 2.0);
@@ -56,8 +51,6 @@ void VegasCore::on_rto() {
   cwnd_ = 2.0;
   slow_start_ = false;
 }
-
-Vegas::Vegas(const VegasCore::Params& params) : core_(params) {}
 
 void Vegas::init(sim::CcContext& ctx) {
   core_.init(ctx.cwnd_bytes() / ctx.mss());

@@ -16,14 +16,9 @@ namespace nimbus::cc {
 /// packets.
 class VegasCore {
  public:
-  struct Params {
-    double alpha = 2.0;
-    double beta = 4.0;
-    double gamma = 1.0;  // slow-start exit threshold
-  };
-
-  VegasCore();
-  explicit VegasCore(const Params& params);
+  static constexpr double kAlpha = 2.0;
+  static constexpr double kBeta = 4.0;
+  static constexpr double kGamma = 1.0;  // slow-start exit threshold
 
   void init(double initial_cwnd_pkts);
   void on_ack(TimeNs now, TimeNs rtt, TimeNs base_rtt, double acked_pkts);
@@ -31,21 +26,16 @@ class VegasCore {
   void on_rto();
 
   double cwnd_pkts() const { return cwnd_; }
-  /// Estimated own queue occupancy in packets at the last update.
-  double last_diff_pkts() const { return last_diff_; }
 
  private:
-  Params p_;
   double cwnd_ = 10;
   bool slow_start_ = true;
   TimeNs next_update_ = 0;
   bool grow_this_rtt_ = true;  // slow start doubles every *other* RTT
-  double last_diff_ = 0;
 };
 
 class Vegas final : public sim::CcAlgorithm {
  public:
-  explicit Vegas(const VegasCore::Params& params = VegasCore::Params());
   std::string name() const override { return "vegas"; }
   void init(sim::CcContext& ctx) override;
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;

@@ -24,24 +24,20 @@ namespace nimbus::cc {
 
 class Vivace final : public sim::CcAlgorithm {
  public:
-  struct Params {
-    double exponent = 0.9;     // throughput utility exponent
-    double b = 900.0;          // RTT-gradient penalty
-    double c = 11.35;          // loss penalty
-    double epsilon = 0.05;     // probe amplitude
-    int max_amplifier = 8;     // confidence amplification cap
-    double min_rate_bps = 0.5e6;
-    double max_rate_bps = 2e9;
-    double initial_rate_bps = 2e6;
-    /// RTT-gradient magnitudes below this (seconds per second) are treated
-    /// as measurement noise.  The b = 900 penalty otherwise amplifies
-    /// microsecond-level RTT jitter above the throughput term and turns
-    /// the rate into a downward-drifting random walk.
-    double gradient_deadband = 0.005;
-  };
+  static constexpr double kExponent = 0.9;  // throughput utility exponent
+  static constexpr double kB = 900.0;       // RTT-gradient penalty
+  static constexpr double kC = 11.35;       // loss penalty
+  static constexpr double kEpsilon = 0.05;  // probe amplitude
+  static constexpr int kMaxAmplifier = 8;   // confidence amplification cap
+  static constexpr double kMinRateBps = 0.5e6;
+  static constexpr double kMaxRateBps = 2e9;
+  static constexpr double kInitialRateBps = 2e6;
+  /// RTT-gradient magnitudes below this (seconds per second) are treated
+  /// as measurement noise.  The b = 900 penalty otherwise amplifies
+  /// microsecond-level RTT jitter above the throughput term and turns the
+  /// rate into a downward-drifting random walk.
+  static constexpr double kGradientDeadband = 0.005;
 
-  Vivace();
-  explicit Vivace(const Params& params);
   std::string name() const override { return "vivace"; }
   void init(sim::CcContext& ctx) override;
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;
@@ -69,8 +65,7 @@ class Vivace final : public sim::CcAlgorithm {
   void decide(sim::CcContext& ctx, TimeNs now);
   void apply_rate(sim::CcContext& ctx, double probe_rate);
 
-  Params p_;
-  double rate_bps_;
+  double rate_bps_ = kInitialRateBps;
   int phase_ = 0;  // 0: sending high probe, 1: sending low, 2: draining
   MiStats high_;
   MiStats low_;

@@ -2,19 +2,10 @@
 
 #include <algorithm>
 
-#include "util/check.h"
-
 namespace nimbus::core {
 
-BasicDelayCore::BasicDelayCore() : BasicDelayCore(Params()) {}
-
-BasicDelayCore::BasicDelayCore(const Params& params) : p_(params) {
-  NIMBUS_CHECK(p_.alpha > 0 && p_.alpha < 1.0001);
-  NIMBUS_CHECK(p_.beta > 0 && p_.beta < 1.0001);
-}
-
 void BasicDelayCore::init(double initial_rate_bps) {
-  rate_bps_ = std::max(initial_rate_bps, p_.min_rate_bps);
+  rate_bps_ = std::max(initial_rate_bps, kMinRateBps);
 }
 
 double BasicDelayCore::update(double send_rate_bps, double cross_rate_bps,
@@ -22,13 +13,13 @@ double BasicDelayCore::update(double send_rate_bps, double cross_rate_bps,
   if (mu_bps <= 0 || rtt <= 0 || min_rtt <= 0) return rate_bps_;
   const double spare = mu_bps - send_rate_bps - cross_rate_bps;
   const double x = to_sec(rtt);
-  const double delay_err = to_sec(min_rtt) + to_sec(p_.target_delay) - x;
-  double rate = send_rate_bps + p_.alpha * spare +
-                p_.beta * (mu_bps / x) * delay_err;
+  const double delay_err = to_sec(min_rtt) + to_sec(kTargetDelay) - x;
+  double rate = send_rate_bps + kAlpha * spare +
+                kBeta * (mu_bps / x) * delay_err;
   // Allow transient overshoot above mu: the beta term must be able to
   // *build* the standing queue toward d_t (a hard clamp at mu would pin
   // the queue empty and starve the z estimator of a busy bottleneck).
-  rate = std::clamp(rate, p_.min_rate_bps, 1.25 * mu_bps);
+  rate = std::clamp(rate, kMinRateBps, 1.25 * mu_bps);
   rate_bps_ = rate;
   return rate_bps_;
 }
@@ -36,7 +27,7 @@ double BasicDelayCore::update(double send_rate_bps, double cross_rate_bps,
 BasicDelayCc::BasicDelayCc() : BasicDelayCc(Config()) {}
 
 BasicDelayCc::BasicDelayCc(const Config& config)
-    : cfg_(config), core_(config.params) {}
+    : cfg_(config) {}
 
 void BasicDelayCc::init(sim::CcContext& ctx) {
   // Start around IW/RTT-equivalent pacing; the alpha term ramps quickly.

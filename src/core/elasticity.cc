@@ -16,12 +16,12 @@ struct BinSpan {
   std::size_t lo, hi;
 };
 
-BinSpan evaluate_span(double f_hz, std::size_t n, double fs, double tol) {
+BinSpan evaluate_span(double f_hz, std::size_t n, double fs) {
   const std::size_t center = spectral::frequency_bin(f_hz, n, fs);
   const std::size_t num_lo = center > 2 ? center - 2 : 1;
   const std::size_t num_hi = center + 2;
   const std::size_t den_lo =
-      std::max<std::size_t>(spectral::frequency_bin(f_hz + tol, n, fs), 1);
+      std::max<std::size_t>(spectral::frequency_bin(f_hz + kPulseToleranceHz, n, fs), 1);
   const std::size_t den_hi = spectral::frequency_bin(2.0 * f_hz, n, fs);
   return {std::min(num_lo, den_lo), std::max(num_hi, den_hi)};
 }
@@ -33,7 +33,7 @@ spectral::SlidingDft make_engine(const DetectorConfig& cfg) {
   std::size_t lo = n, hi = 0;
   for (double f : cfg.tracked_freqs_hz) {
     if (f <= 0.0) continue;
-    const BinSpan s = evaluate_span(f, n, cfg.sample_rate_hz, cfg.tolerance_hz);
+    const BinSpan s = evaluate_span(f, n, cfg.sample_rate_hz);
     lo = std::min(lo, s.lo);
     hi = std::max(hi, s.hi);
   }
@@ -57,8 +57,7 @@ void ElasticityDetector::check_tracked(std::size_t lo, std::size_t hi) const {
 ElasticityDetector::Result ElasticityDetector::evaluate(
     double f_pulse_hz) const {
   const std::size_t n = window_samples();
-  const BinSpan s =
-      evaluate_span(f_pulse_hz, n, cfg_.sample_rate_hz, cfg_.tolerance_hz);
+  const BinSpan s = evaluate_span(f_pulse_hz, n, cfg_.sample_rate_hz);
   check_tracked(s.lo, std::min(s.hi, n - 1));
   if (!ready()) return Result();
   const spectral::SlidingDft& dft = dft_;
@@ -83,8 +82,7 @@ double ElasticityDetector::magnitude_near(double f_hz) const {
 spectral::Spectrum ElasticityDetector::full_spectrum() const {
   std::vector<double> window;
   dft_.copy_to(window);
-  return spectral::analyze(window, cfg_.sample_rate_hz,
-                           spectral::WindowType::kHannPeriodic);
+  return spectral::analyze(window, cfg_.sample_rate_hz);
 }
 
 }  // namespace nimbus::core

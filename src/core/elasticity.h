@@ -40,15 +40,16 @@ struct DetectorConfig {
   double sample_rate_hz = 100.0;  // one sample per 10 ms report
   double duration_sec = 5.0;      // FFT window (paper: 5 s)
   double eta_threshold = 2.0;     // paper section 3.4
-  /// Bins within this distance of f_p count toward the numerator peak
-  /// (windowing spreads an exact-bin tone into its neighbours).
-  double tolerance_hz = 0.25;
   /// Pulse frequencies whose Eq.-3 bands the sliding DFT maintains
   /// (both, because watchers evaluate f_pc *and* f_pd every report).
   /// evaluate()/magnitude_near() are defined only inside these bands.
   /// <= 0 entries are ignored; at least one must be positive.
   std::array<double, 2> tracked_freqs_hz = {5.0, 6.0};
 };
+
+/// Bins within this distance of f_p count toward the numerator peak
+/// (windowing spreads an exact-bin tone into its neighbours).
+inline constexpr double kPulseToleranceHz = 0.25;
 
 struct DetectorResult {
   double eta = 0.0;
@@ -88,7 +89,7 @@ DetectorResult evaluate_band(const DetectorConfig& cfg, std::size_t n,
   const std::size_t center = spectral::frequency_bin(f_pulse_hz, n, fs);
   double num = 0.0;
   for (std::size_t k = (center > 2 ? center - 2 : 1); k <= center + 2; ++k) {
-    if (std::abs(bin_freq(k) - f_pulse_hz) <= cfg.tolerance_hz + 1e-9) {
+    if (std::abs(bin_freq(k) - f_pulse_hz) <= kPulseToleranceHz + 1e-9) {
       num = std::max(num, mag(k));
     }
   }
@@ -96,12 +97,12 @@ DetectorResult evaluate_band(const DetectorConfig& cfg, std::size_t n,
 
   // Denominator: peak strictly inside (f_p + tol, 2 f_p).
   const std::size_t lo =
-      spectral::frequency_bin(f_pulse_hz + cfg.tolerance_hz, n, fs);
+      spectral::frequency_bin(f_pulse_hz + kPulseToleranceHz, n, fs);
   const std::size_t hi = spectral::frequency_bin(2.0 * f_pulse_hz, n, fs);
   double denom = 0.0;
   for (std::size_t k = std::max<std::size_t>(lo, 1); k <= hi; ++k) {
     const double f = bin_freq(k);
-    if (f > f_pulse_hz + cfg.tolerance_hz && f < 2.0 * f_pulse_hz) {
+    if (f > f_pulse_hz + kPulseToleranceHz && f < 2.0 * f_pulse_hz) {
       const double m = mag(k);
       if (m > denom) {
         denom = m;

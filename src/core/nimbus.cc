@@ -9,6 +9,48 @@ namespace nimbus::core {
 
 namespace {
 
+// Multi-flow coordination (section 6).
+constexpr double kKappa = 0.5;  // expected pulsers per FFT duration
+// Low-pass well below min(f_pc, f_pd): the watcher's delay rule reacts to
+// the pulser's queue oscillation, and residual pulse-frequency energy in
+// watcher rates reads as elastic cross traffic.
+constexpr double kWatcherCutoffHz = 0.35;
+constexpr double kPulserPresenceEta = 2.0;
+// Two same-frequency pulsers see z-peak ~ own R-peak (parity); an elastic
+// response alone stays well below the pulser's own peak.
+constexpr double kConflictMargin = 0.95;
+constexpr double kConflictSwitchProb = 0.1;
+// Reports the conflict condition must hold continuously before the
+// demotion lottery runs: transient cross-traffic spikes (a cubic slow-start
+// overshoot) can match the condition for a few hundred milliseconds and
+// must not cost the link its only pulser.
+constexpr int kConflictPersistenceReports = 150;
+
+// Time constant (seconds) of the EWMA applied to eta before the mode
+// decision.  The raw metric is noisy near the threshold (the z estimate
+// carries measurement sidebands), and a ~1 s smoothing keeps mode
+// decisions stable while staying well inside the 5 s detection budget.
+constexpr double kEtaSmoothingTauSec = 1.0;
+
+// Hysteresis: leave competitive mode only when the smoothed eta falls
+// below eta_threshold / this factor.  Near-threshold measurement noise
+// otherwise flaps the mode, and every trip through delay mode costs
+// throughput against elastic cross traffic.
+constexpr double kExitHysteresis = 1.25;
+
+// Cross traffic below this fraction of mu is treated as absent: eta is a
+// ratio of spectral peaks and becomes a noise/noise ratio when z ~ 0 (e.g.
+// a solo flow whose own pulse troughs briefly empty the queue), so an
+// insignificant z is classified inelastic directly.
+constexpr double kZSignificanceFrac = 0.05;
+
+// S/R are measured over min(sRTT, pulse period / this divisor) of data.
+// Longer windows average the pulse response out of z (attenuation);
+// shorter windows raise the estimator's noise floor inside the comparison
+// band.  2 balances the two (tuned empirically in the forced-delay worst
+// case).
+constexpr double kMeasurementWindowDivisor = 2.0;
+
 ElasticityDetector::Config detector_config(const Nimbus::Config& cfg) {
   ElasticityDetector::Config d;
   d.sample_rate_hz = cfg.sample_rate_hz;
@@ -38,10 +80,8 @@ Nimbus::Nimbus(const Config& config)
       pulse_({config.fp_delay_hz, config.pulse_amplitude_frac}),
       detector_(detector_config(config)),
       recv_watch_(detector_config(config)),
-      basic_delay_(config.basic_delay),
-      watcher_filter_(util::TimeEwma::with_cutoff_hz(
-          config.watcher_cutoff_hz)),
-      eta_filter_(std::max(config.eta_smoothing_tau_sec, 1e-3)) {
+      watcher_filter_(util::TimeEwma::with_cutoff_hz(kWatcherCutoffHz)),
+      eta_filter_(kEtaSmoothingTauSec) {
   NIMBUS_CHECK(cfg_.fp_competitive_hz != cfg_.fp_delay_hz);
 }
 
@@ -57,14 +97,13 @@ double Nimbus::current_fp() const {
 }
 
 void Nimbus::init(sim::CcContext& ctx) {
-  mode_ = cfg_.start_in_delay_mode ? Mode::kDelay : Mode::kCompetitive;
+  mode_ = Mode::kDelay;
   role_ = cfg_.multiflow ? Role::kWatcher : Role::kPulser;
   pulse_.set_frequency_hz(current_fp());
 
   const double iw_rate = ctx.cwnd_bytes() * 8.0 / 0.05;  // IW over 50 ms
   basic_delay_.init(iw_rate);
   cubic_.init(ctx.cwnd_bytes() / ctx.mss());
-  reno_.init(ctx.cwnd_bytes() / ctx.mss());
   vegas_.init(ctx.cwnd_bytes() / ctx.mss());
   copa_.init(ctx.cwnd_bytes() / ctx.mss());
   base_rate_bps_ = iw_rate;
@@ -75,11 +114,7 @@ void Nimbus::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
   const double acked_pkts =
       static_cast<double>(ack.newly_acked_bytes) / ctx.mss();
   if (mode_ == Mode::kCompetitive) {
-    if (cfg_.competitive_algo == CompetitiveAlgo::kCubic) {
-      cubic_.on_ack(ack.now, ctx.srtt(), acked_pkts);
-    } else {
-      reno_.on_ack(acked_pkts);
-    }
+    cubic_.on_ack(ack.now, ctx.srtt(), acked_pkts);
   } else {
     switch (cfg_.delay_algo) {
       case DelayAlgo::kBasicDelay:
@@ -98,11 +133,7 @@ void Nimbus::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
 void Nimbus::on_loss(sim::CcContext& /*ctx*/, const sim::LossInfo& loss) {
   if (!loss.new_congestion_event) return;
   if (mode_ == Mode::kCompetitive) {
-    if (cfg_.competitive_algo == CompetitiveAlgo::kCubic) {
-      cubic_.on_congestion_event(loss.now);
-    } else {
-      reno_.on_congestion_event();
-    }
+    cubic_.on_congestion_event(loss.now);
   } else {
     switch (cfg_.delay_algo) {
       case DelayAlgo::kBasicDelay:
@@ -120,7 +151,6 @@ void Nimbus::on_loss(sim::CcContext& /*ctx*/, const sim::LossInfo& loss) {
 
 void Nimbus::on_rto(sim::CcContext& /*ctx*/) {
   cubic_.on_rto();
-  reno_.on_rto();
   vegas_.on_rto();
   copa_.on_rto();
   basic_delay_.set_rate_bps(basic_delay_.rate_bps() / 2.0);
@@ -140,11 +170,7 @@ double Nimbus::delay_mode_rate(sim::CcContext& ctx) const {
 }
 
 double Nimbus::competitive_mode_rate(sim::CcContext& ctx) const {
-  const double srtt_sec = srtt_smooth_s_;
-  const double cwnd = cfg_.competitive_algo == CompetitiveAlgo::kCubic
-                          ? cubic_.cwnd_pkts()
-                          : reno_.cwnd_pkts();
-  return cwnd * ctx.mss() * 8.0 / srtt_sec;
+  return cubic_.cwnd_pkts() * ctx.mss() * 8.0 / srtt_smooth_s_;
 }
 
 void Nimbus::record_rate(TimeNs now, double rate) {
@@ -186,7 +212,6 @@ void Nimbus::switch_mode(sim::CcContext& ctx, Mode to) {
         std::max(reset_rate * srtt_sec / 8.0 / ctx.mss(), 2.0);
     cubic_.init(cwnd_pkts);
     cubic_.set_cwnd_pkts(cwnd_pkts);
-    reno_.init(cwnd_pkts);
   } else {
     // Enter delay mode from the current competitive rate; the delay
     // algorithm converges from there.
@@ -219,12 +244,8 @@ void Nimbus::decide_mode_from_detector(sim::CcContext& ctx) {
   if (!detector_.ready()) return;
   const auto result = detector_.evaluate(current_fp());
   last_raw_eta_ = result.eta;
-  if (cfg_.eta_smoothing_tau_sec > 0) {
-    eta_filter_.add(ctx.now(), result.eta);
-    last_eta_ = eta_filter_.value();
-  } else {
-    last_eta_ = result.eta;
-  }
+  eta_filter_.add(ctx.now(), result.eta);
+  last_eta_ = eta_filter_.value();
 
   // Vacuous cross traffic: with z ~ 0 there is nothing whose elasticity
   // could matter, and eta degenerates to a noise/noise ratio (a solo
@@ -232,7 +253,7 @@ void Nimbus::decide_mode_from_detector(sim::CcContext& ctx) {
   // at f_p).  Insignificant z => inelastic.
   const bool z_significant =
       last_mu_ <= 0 ||
-      z_mean_filter_.value() >= cfg_.z_significance_frac * last_mu_;
+      z_mean_filter_.value() >= kZSignificanceFrac * last_mu_;
 
   Mode want;
   if (!z_significant) {
@@ -240,7 +261,7 @@ void Nimbus::decide_mode_from_detector(sim::CcContext& ctx) {
   } else if (mode_ == Mode::kCompetitive) {
     // Hysteresis: require the smoothed eta to fall clearly below the
     // threshold before abandoning competitive mode.
-    want = last_eta_ >= cfg_.eta_threshold / cfg_.exit_hysteresis
+    want = last_eta_ >= cfg_.eta_threshold / kExitHysteresis
                ? Mode::kCompetitive
                : Mode::kDelay;
   } else {
@@ -260,7 +281,7 @@ void Nimbus::decide_mode_from_detector(sim::CcContext& ctx) {
     // z-insignificant early classification, where eta never applied).
     e.v2 = !z_significant ? 0.0
            : mode_ == Mode::kCompetitive
-               ? cfg_.eta_threshold / cfg_.exit_hysteresis
+               ? cfg_.eta_threshold / kExitHysteresis
                : cfg_.eta_threshold;
     trace_.emit(e);
   }
@@ -279,9 +300,9 @@ void Nimbus::watcher_logic(sim::CcContext& ctx,
   const double significance =
       last_mu_ > 0 ? 0.005 * last_mu_ : 1e9;
   const bool pulser_present =
-      (at_c.eta >= cfg_.pulser_presence_eta &&
+      (at_c.eta >= kPulserPresenceEta &&
        at_c.pulse_magnitude >= significance) ||
-      (at_d.eta >= cfg_.pulser_presence_eta &&
+      (at_d.eta >= kPulserPresenceEta &&
        at_d.pulse_magnitude >= significance);
 
   // Post-demotion review: only at the deadline, once our own stale pulses
@@ -316,7 +337,7 @@ void Nimbus::watcher_logic(sim::CcContext& ctx,
   const double tau = 1.0 / cfg_.sample_rate_hz;
   const double share = std::clamp(report.recv_rate_bps / last_mu_,
                                   0.25, 1.0);
-  const double p = cfg_.kappa * tau / cfg_.fft_duration_sec * share;
+  const double p = kKappa * tau / cfg_.fft_duration_sec * share;
   if (ctx.rng().bernoulli(p)) {
     role_ = Role::kPulser;
     detector_.reset();  // stale z history predates our pulses
@@ -332,10 +353,10 @@ void Nimbus::pulser_conflict_check(sim::CcContext& ctx) {
   const double own_peak = recv_watch_.magnitude_near(current_fp());
   const double significance = last_mu_ > 0 ? 0.005 * last_mu_ : 1e9;
   const bool conflict =
-      z_peak > cfg_.conflict_margin * own_peak && z_peak >= significance;
+      z_peak > kConflictMargin * own_peak && z_peak >= significance;
   conflict_streak_ = conflict ? conflict_streak_ + 1 : 0;
-  if (conflict_streak_ >= cfg_.conflict_persistence_reports &&
-      ctx.rng().bernoulli(cfg_.conflict_switch_prob)) {
+  if (conflict_streak_ >= kConflictPersistenceReports &&
+      ctx.rng().bernoulli(kConflictSwitchProb)) {
     role_ = Role::kWatcher;
     conflict_streak_ = 0;
     // Re-examine once our own pulses have left the receive-rate window:
@@ -357,7 +378,7 @@ void Nimbus::apply_control(sim::CcContext& ctx,
   // cannot emit the pulse, and — worse — it sends so few packets that z is
   // only sampled during its own bursts, aliasing the cross traffic's
   // response away (section 3.4's S(t) >= mu/12 requirement).
-  if (role_ == Role::kPulser && cfg_.enable_pulses && last_mu_ > 0 &&
+  if (role_ == Role::kPulser && last_mu_ > 0 &&
       mode_ == Mode::kDelay) {
     // mu/8 rather than the bare pulse-feasibility bound (amplitude/3 =
     // mu/12): the extra margin keeps enough packets per measurement window
@@ -382,12 +403,12 @@ void Nimbus::apply_control(sim::CcContext& ctx,
   // still spanning enough packets (>= 10) for a stable rate estimate.
   const double srtt_s = srtt_smooth_s_;
   const double window_s = std::min(
-      srtt_s, 1.0 / (cfg_.measurement_window_divisor * pulse_.frequency_hz()));
+      srtt_s, 1.0 / (kMeasurementWindowDivisor * pulse_.frequency_hz()));
   ctx.set_rate_window_bytes(
       std::max(base_rate_bps_ / 8.0 * window_s, 10.0 * ctx.mss()));
 
   double target = base_rate_bps_;
-  if (role_ == Role::kPulser && cfg_.enable_pulses && last_mu_ > 0) {
+  if (role_ == Role::kPulser && last_mu_ > 0) {
     target += pulse_.offset_bps(report.now, last_mu_);
     if (trace_.active()) {
       // Half-period index of the pulse waveform: a transition marks the
@@ -441,7 +462,7 @@ void Nimbus::apply_control(sim::CcContext& ctx,
     // making room the positive quarter then uses.
     ctx.set_pacing_rate_bps(target);
     double cwnd = 2.0 * base_rate_bps_ / 8.0 * srtt_s + 4.0 * ctx.mss();
-    if (role_ == Role::kPulser && cfg_.enable_pulses && last_mu_ > 0) {
+    if (role_ == Role::kPulser && last_mu_ > 0) {
       cwnd += 1.5 * pulse_.burst_bytes(last_mu_);
     }
     ctx.set_cwnd_bytes(cwnd);

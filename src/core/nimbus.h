@@ -5,8 +5,8 @@
 // Single flow (multiflow = false): the flow is always the pulser.  Every
 // report it estimates the cross-traffic rate z (Eq. 1), feeds the
 // elasticity detector, and picks:
-//   * TCP-competitive mode (inner Cubic or NewReno, rate = cwnd/sRTT) when
-//     the cross traffic is elastic (eta >= 2), or
+//   * TCP-competitive mode (inner Cubic, rate = cwnd/sRTT) when the cross
+//     traffic is elastic (eta >= 2), or
 //   * delay-control mode (BasicDelay Eq. 4, Vegas, or Copa default mode)
 //     when it is inelastic.
 // On a switch to competitive mode the rate is reset to its value one FFT
@@ -33,7 +33,6 @@
 
 #include "cc/cubic.h"
 #include "cc/copa.h"
-#include "cc/reno.h"
 #include "cc/vegas.h"
 #include "core/basic_delay.h"
 #include "core/elasticity.h"
@@ -51,7 +50,6 @@ class Nimbus final : public sim::CcAlgorithm {
   enum class Mode { kDelay, kCompetitive };
   enum class Role { kPulser, kWatcher };
   enum class DelayAlgo { kBasicDelay, kVegas, kCopa };
-  enum class CompetitiveAlgo { kCubic, kReno };
 
   struct Config {
     /// Bottleneck rate if known (controlled experiments, sections 8.2/8.3);
@@ -64,60 +62,11 @@ class Nimbus final : public sim::CcAlgorithm {
     double fft_duration_sec = 5.0;
     double eta_threshold = 2.0;
     DelayAlgo delay_algo = DelayAlgo::kBasicDelay;
-    CompetitiveAlgo competitive_algo = CompetitiveAlgo::kCubic;
-    BasicDelayCore::Params basic_delay;
 
     // Multi-flow coordination (section 6).
     bool multiflow = false;
-    double kappa = 0.5;               // expected pulsers per FFT duration
-    double watcher_cutoff_hz = 0.35;   // low-pass well below min(f_pc,
-                                      // f_pd): the watcher's delay rule
-                                      // reacts to the pulser's queue
-                                      // oscillation, and residual pulse-
-                                      // frequency energy in watcher rates
-                                      // reads as elastic cross traffic
-    double pulser_presence_eta = 2.0;
-    double conflict_margin = 0.95;    // two same-frequency pulsers see
-                                      // z-peak ~ own R-peak (parity); an
-                                      // elastic response alone stays well
-                                      // below the pulser's own peak
-    double conflict_switch_prob = 0.1;
-    /// Reports the conflict condition must hold continuously before the
-    /// demotion lottery runs: transient cross-traffic spikes (a cubic
-    /// slow-start overshoot) can match the condition for a few hundred
-    /// milliseconds and must not cost the link its only pulser.
-    int conflict_persistence_reports = 150;
 
-    bool start_in_delay_mode = true;
-
-    /// Time constant (seconds) of the EWMA applied to eta before the mode
-    /// decision; 0 decides on the raw per-report eta.  The raw metric is
-    /// noisy near the threshold (the z estimate carries measurement
-    /// sidebands), and a ~1 s smoothing keeps mode decisions stable while
-    /// staying well inside the 5 s detection budget.
-    double eta_smoothing_tau_sec = 1.0;
-
-    /// Hysteresis: leave competitive mode only when the smoothed eta falls
-    /// below eta_threshold / this factor.  Near-threshold measurement
-    /// noise otherwise flaps the mode, and every trip through delay mode
-    /// costs throughput against elastic cross traffic.
-    double exit_hysteresis = 1.25;
-
-    /// Cross traffic below this fraction of mu is treated as absent: eta
-    /// is a ratio of spectral peaks and becomes a noise/noise ratio when
-    /// z ~ 0 (e.g. a solo flow whose own pulse troughs briefly empty the
-    /// queue), so an insignificant z is classified inelastic directly.
-    double z_significance_frac = 0.05;
-
-    /// S/R are measured over min(sRTT, pulse period / this divisor) of
-    /// data.  Longer windows average the pulse response out of z
-    /// (attenuation); shorter windows raise the estimator's noise floor
-    /// inside the comparison band.  2 balances the two (tuned empirically
-    /// in the forced-delay worst case).
-    double measurement_window_divisor = 2.0;
-
-    // Ablation hooks.
-    bool enable_pulses = true;
+    // Ablation hook.
     bool enable_rate_reset = true;
   };
 
@@ -188,7 +137,6 @@ class Nimbus final : public sim::CcAlgorithm {
 
   // Inner algorithms.
   cc::CubicCore cubic_;
-  cc::RenoCore reno_;
   cc::VegasCore vegas_;
   cc::CopaCore copa_;
   BasicDelayCore basic_delay_;

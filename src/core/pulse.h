@@ -47,7 +47,6 @@ class AsymmetricPulse {
   void set_frequency_hz(double f);
   TimeNs period() const { return period_; }
   double amplitude_frac() const { return cfg_.amplitude_frac; }
-  void set_amplitude_frac(double a) { cfg_.amplitude_frac = a; }
 
  private:
   Config cfg_;

@@ -51,10 +51,12 @@ double ModeLog::fraction_competitive(TimeNs t0, TimeNs t1) const {
 void attach_nimbus_logger(core::Nimbus* nimbus, ModeLog* mode_log,
                           util::TimeSeries* eta_log,
                           util::TimeSeries* z_log,
-                          util::TimeSeries* eta_raw_log) {
+                          util::TimeSeries* eta_raw_log,
+                          util::TimeSeries* rate_log) {
   NIMBUS_CHECK(nimbus != nullptr);
   nimbus->set_status_handler(
-      [mode_log, eta_log, z_log, eta_raw_log](const core::Nimbus::Status& s) {
+      [mode_log, eta_log, z_log, eta_raw_log,
+       rate_log](const core::Nimbus::Status& s) {
         if (mode_log) {
           mode_log->add(s.now, s.mode == core::Nimbus::Mode::kCompetitive);
         }
@@ -63,6 +65,7 @@ void attach_nimbus_logger(core::Nimbus* nimbus, ModeLog* mode_log,
           eta_raw_log->add(s.now, s.eta_raw);
         }
         if (z_log) z_log->add(s.now, s.z_bps);
+        if (rate_log) rate_log->add(s.now, s.base_rate_bps);
       });
 }
 

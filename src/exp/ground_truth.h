@@ -50,13 +50,15 @@ class ModeLog {
 };
 
 /// Wires a Nimbus instance's status stream into a ModeLog (and optionally
-/// eta / z / raw-eta logs).  eta_log records the smoothed decision eta and
-/// eta_raw_log the latest single-window eta, both only while the detector
-/// is ready; z_log records every cross-traffic estimate.
+/// eta / z / raw-eta / base-rate logs).  eta_log records the smoothed
+/// decision eta and eta_raw_log the latest single-window eta, both only
+/// while the detector is ready; z_log records every cross-traffic estimate
+/// and rate_log every base rate S(t).
 void attach_nimbus_logger(core::Nimbus* nimbus, ModeLog* mode_log,
                           util::TimeSeries* eta_log = nullptr,
                           util::TimeSeries* z_log = nullptr,
-                          util::TimeSeries* eta_raw_log = nullptr);
+                          util::TimeSeries* eta_raw_log = nullptr,
+                          util::TimeSeries* rate_log = nullptr);
 
 /// Polls a Copa instance's mode every `interval` on the network's loop.
 void attach_copa_poller(sim::Network* net, const cc::Copa* copa,

@@ -437,9 +437,10 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
     run.eta_log = std::make_unique<util::TimeSeries>();
     run.eta_raw_log = std::make_unique<util::TimeSeries>();
     run.z_log = std::make_unique<util::TimeSeries>();
+    run.rate_log = std::make_unique<util::TimeSeries>();
     attach_nimbus_logger(run.built.nimbus, run.mode_log.get(),
                          run.eta_log.get(), run.z_log.get(),
-                         run.eta_raw_log.get());
+                         run.eta_raw_log.get(), run.rate_log.get());
   }
   if (setup) setup(spec, run.built);
   if (budget.limited()) {

@@ -276,14 +276,16 @@ double trace_mean_rate_bps(
 /// A completed scenario run.  The logs are populated (and non-null) when
 /// the protagonist is a Nimbus flow — mode decisions, smoothed eta and raw
 /// single-window eta (both gated on detector_ready), and the ungated
-/// cross-traffic estimate z(t).  With spec.log_copa_mode, mode_log instead
-/// records the Copa protagonist's polled mode.
+/// cross-traffic estimate z(t) and base rate S(t).  With
+/// spec.log_copa_mode, mode_log instead records the Copa protagonist's
+/// polled mode.
 struct ScenarioRun {
   BuiltScenario built;
   std::unique_ptr<ModeLog> mode_log;
   std::unique_ptr<util::TimeSeries> eta_log;
   std::unique_ptr<util::TimeSeries> eta_raw_log;
   std::unique_ptr<util::TimeSeries> z_log;
+  std::unique_ptr<util::TimeSeries> rate_log;
 
   /// Per-run telemetry (ObsConfig mode counters or trace); null when off.
   /// Never written to stdout: trace files go to ObsConfig::dir, counter

@@ -28,7 +28,6 @@ NIMBUS_CANON_GUARD(sim::PolicerConfig, kCanonSizeofPolicerConfig);
 NIMBUS_CANON_GUARD(sim::Outage, kCanonSizeofOutage);
 NIMBUS_CANON_GUARD(sim::ImpairmentConfig, kCanonSizeofImpairmentConfig);
 NIMBUS_CANON_GUARD(ImpairmentSpec, kCanonSizeofImpairmentSpec);
-NIMBUS_CANON_GUARD(core::BasicDelayCore::Params, kCanonSizeofBasicDelayParams);
 NIMBUS_CANON_GUARD(core::Nimbus::Config, kCanonSizeofNimbusConfig);
 NIMBUS_CANON_GUARD(traffic::FlowSizeDist::Band, kCanonSizeofFlowSizeBand);
 NIMBUS_CANON_GUARD(traffic::FlowSizeDist, kCanonSizeofFlowSizeDist);
@@ -114,14 +113,6 @@ class Canon {
   std::string out_;
 };
 
-void emit_basic_delay(Canon& c, const std::string& p,
-                      const core::BasicDelayCore::Params& bd) {
-  c.d(p + ".alpha", bd.alpha);
-  c.d(p + ".beta", bd.beta);
-  c.i64(p + ".target_delay", bd.target_delay);
-  c.d(p + ".min_rate_bps", bd.min_rate_bps);
-}
-
 void emit_nimbus(Canon& c, const std::string& p,
                  const core::Nimbus::Config& n) {
   c.d(p + ".known_mu_bps", n.known_mu_bps);
@@ -132,21 +123,7 @@ void emit_nimbus(Canon& c, const std::string& p,
   c.d(p + ".fft_duration_sec", n.fft_duration_sec);
   c.d(p + ".eta_threshold", n.eta_threshold);
   c.e(p + ".delay_algo", static_cast<int>(n.delay_algo));
-  c.e(p + ".competitive_algo", static_cast<int>(n.competitive_algo));
-  emit_basic_delay(c, p + ".basic_delay", n.basic_delay);
   c.b(p + ".multiflow", n.multiflow);
-  c.d(p + ".kappa", n.kappa);
-  c.d(p + ".watcher_cutoff_hz", n.watcher_cutoff_hz);
-  c.d(p + ".pulser_presence_eta", n.pulser_presence_eta);
-  c.d(p + ".conflict_margin", n.conflict_margin);
-  c.d(p + ".conflict_switch_prob", n.conflict_switch_prob);
-  c.i64(p + ".conflict_persistence_reports", n.conflict_persistence_reports);
-  c.b(p + ".start_in_delay_mode", n.start_in_delay_mode);
-  c.d(p + ".eta_smoothing_tau_sec", n.eta_smoothing_tau_sec);
-  c.d(p + ".exit_hysteresis", n.exit_hysteresis);
-  c.d(p + ".z_significance_frac", n.z_significance_frac);
-  c.d(p + ".measurement_window_divisor", n.measurement_window_divisor);
-  c.b(p + ".enable_pulses", n.enable_pulses);
   c.b(p + ".enable_rate_reset", n.enable_rate_reset);
 }
 
@@ -281,7 +258,7 @@ void emit_workload(Canon& c, const std::string& p,
 std::string canonical_spec(const ScenarioSpec& spec) {
   Canon c;
   // v2: added the per-direction impairment block (PR 8).
-  c.line("format", "scenario-canon/v2");
+  c.line("format", "scenario-canon/v3");
   c.s("name", spec.name);
   c.d("mu_bps", spec.mu_bps);
   emit_link(c, "link", spec.link);

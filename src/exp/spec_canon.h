@@ -8,9 +8,8 @@
 //
 //   * canonical_spec(spec) — a total, stable text serialization.  Every
 //     field of ScenarioSpec and every nested struct (CrossSpec, LinkSpec,
-//     ProtagonistSpec, Nimbus::Config, BasicDelayCore::Params,
-//     FlowWorkload::Config, FlowSizeDist, PolicerConfig, RateStep,
-//     ImpairmentSpec, ImpairmentConfig, Outage) is
+//     ProtagonistSpec, Nimbus::Config, FlowWorkload::Config, FlowSizeDist,
+//     PolicerConfig, RateStep, ImpairmentSpec, ImpairmentConfig, Outage) is
 //     emitted in a fixed order with defaults made explicit; doubles are
 //     serialized as their exact IEEE-754 bit patterns (no rounding, no
 //     locale); trace-file link specs embed a hash of the trace *content*,
@@ -79,14 +78,13 @@ inline constexpr std::size_t kCanonSizeofPolicerConfig = 24;
 inline constexpr std::size_t kCanonSizeofOutage = 16;
 inline constexpr std::size_t kCanonSizeofImpairmentConfig = 120;
 inline constexpr std::size_t kCanonSizeofImpairmentSpec = 240;
-inline constexpr std::size_t kCanonSizeofBasicDelayParams = 32;
-inline constexpr std::size_t kCanonSizeofNimbusConfig = 192;
+inline constexpr std::size_t kCanonSizeofNimbusConfig = 64;
 inline constexpr std::size_t kCanonSizeofFlowSizeBand = 24;
 inline constexpr std::size_t kCanonSizeofFlowSizeDist = 56;
 inline constexpr std::size_t kCanonSizeofWorkloadConfig = 144;
 inline constexpr std::size_t kCanonSizeofLinkSpec = 144;
-inline constexpr std::size_t kCanonSizeofCrossSpec = 288;
-inline constexpr std::size_t kCanonSizeofProtagonistSpec = 272;
-inline constexpr std::size_t kCanonSizeofScenarioSpec = 984;
+inline constexpr std::size_t kCanonSizeofCrossSpec = 160;
+inline constexpr std::size_t kCanonSizeofProtagonistSpec = 144;
+inline constexpr std::size_t kCanonSizeofScenarioSpec = 856;
 
 }  // namespace nimbus::exp

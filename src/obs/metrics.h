@@ -90,8 +90,6 @@ class MetricsRegistry {
   /// Deterministic order: registration order, buckets ascending.
   std::vector<std::pair<std::string, double>> snapshot() const;
 
-  std::size_t counter_count() const { return counter_names_.size(); }
-
  private:
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;

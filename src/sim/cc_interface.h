@@ -98,7 +98,8 @@ class CcAlgorithm {
   virtual void on_loss(CcContext& /*ctx*/, const LossInfo& /*loss*/) {}
   /// Retransmission timeout: the whole window was lost.
   virtual void on_rto(CcContext& /*ctx*/) {}
-  /// Periodic CCP-style report (every TransportConfig::report_interval).
+  /// Periodic CCP-style report (every 10 ms: kReportInterval in
+  /// sim/transport.cc).
   virtual void on_report(CcContext& /*ctx*/, const CcReport& /*report*/) {}
 };
 

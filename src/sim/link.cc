@@ -124,11 +124,6 @@ void BottleneckLink::finish_transmission() {
   start_transmission();
 }
 
-void BottleneckLink::set_rate_bps(double rate_bps) {
-  NIMBUS_CHECK(rate_bps > 0);
-  rate_bps_ = rate_bps;
-}
-
 void BottleneckLink::set_schedule(std::unique_ptr<RateSchedule> schedule) {
   NIMBUS_CHECK_MSG(schedule_ == nullptr, "schedule already installed");
   NIMBUS_CHECK_MSG(!busy_ && loop_->now() == 0,

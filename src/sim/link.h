@@ -69,9 +69,6 @@ class BottleneckLink {
   /// Offers a packet to the link.
   void enqueue(Packet p);
 
-  /// Changes the link rate at runtime (affects packets serialized after the
-  /// change; used by variable-rate path experiments).
-  void set_rate_bps(double rate_bps);
   double rate_bps() const { return rate_bps_; }
 
   /// Installs a time-varying rate schedule.  The link immediately adopts

@@ -38,9 +38,8 @@ void Recorder::ensure_flow(FlowId id) {
     // Delivered-bytes counters sample at 1 ms buckets: every bench reduces
     // throughput on second/millisecond-aligned grids, where bucketed
     // queries are bit-identical to per-packet ones, and the per-delivery
-    // hot path stops appending one pair per packet (ROADMAP hot spot).
-    delivered_.resize(id + 1, util::ByteCounter(from_ms(1)));
-    seen_.resize(id + 1, 0);
+    // hot path stops appending one pair per packet.
+    delivered_.resize(id + 1);
     drops_.resize(id + 1, 0);
   }
 }
@@ -48,7 +47,6 @@ void Recorder::ensure_flow(FlowId id) {
 void Recorder::on_delivery(const Packet& p, TimeNs dequeue_done) {
   if (p.flow_id >= delivered_.size()) ensure_flow(p.flow_id);
   delivered_[p.flow_id].add(dequeue_done, p.size_bytes);
-  seen_[p.flow_id] = 1;
   if (is_tracked(p.flow_id)) {
     if (p.flow_id >= queue_delay_.size()) queue_delay_.resize(p.flow_id + 1);
     auto& series = queue_delay_[p.flow_id];
@@ -80,14 +78,6 @@ void Recorder::on_completion(FlowId id, TimeNs when, TimeNs fct,
 
 const util::ByteCounter& Recorder::delivered(FlowId id) const {
   return id < delivered_.size() ? delivered_[id] : kEmptyCounter;
-}
-
-double Recorder::aggregate_rate_bps(const std::vector<FlowId>& ids, TimeNs t0,
-                                    TimeNs t1) const {
-  if (t1 <= t0) return 0.0;
-  std::int64_t bytes = 0;
-  for (FlowId id : ids) bytes += delivered(id).bytes_in(t0, t1);
-  return static_cast<double>(bytes) * 8.0 / to_sec(t1 - t0);
 }
 
 const util::TimeSeries& Recorder::queue_delay(FlowId id) const {

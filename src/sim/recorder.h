@@ -58,9 +58,6 @@ class Recorder {
   // --- accessors ---
   /// Bytes delivered through the bottleneck, per flow.
   const util::ByteCounter& delivered(FlowId id) const;
-  /// Aggregate delivered bytes for a set of flows over [t0, t1).
-  double aggregate_rate_bps(const std::vector<FlowId>& ids, TimeNs t0,
-                            TimeNs t1) const;
   /// Per-packet queueing delay (tracked flows only).
   const util::TimeSeries& queue_delay(FlowId id) const;
   /// RTT samples per flow (only for flows wired via rtt handler).
@@ -78,10 +75,6 @@ class Recorder {
   };
   const std::vector<Completion>& completions() const { return completions_; }
 
-  bool has_flow(FlowId id) const {
-    return id < delivered_.size() && seen_[id] != 0;
-  }
-
  private:
   void probe_tick();
   void ensure_flow(FlowId id);
@@ -94,8 +87,7 @@ class Recorder {
   TimeNs probe_interval_ = 0;
 
   std::vector<char> tracked_;                 // indexed by FlowId
-  std::vector<char> seen_;                    // had a delivery
-  std::vector<util::ByteCounter> delivered_;  // sized together with seen_
+  std::vector<util::ByteCounter> delivered_;
   std::vector<std::uint64_t> drops_;
   std::vector<std::unique_ptr<util::TimeSeries>> queue_delay_;
   std::vector<std::unique_ptr<util::TimeSeries>> rtt_;

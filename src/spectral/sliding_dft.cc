@@ -8,13 +8,12 @@
 namespace nimbus::spectral {
 
 SlidingDft::SlidingDft(std::size_t window, std::size_t bin_lo,
-                       std::size_t bin_hi, std::size_t resync_interval)
+                       std::size_t bin_hi)
     : n_(window),
       lo_(bin_lo),
       hi_(bin_hi),
       ilo_(bin_lo > 0 ? bin_lo - 1 : 0),
       ihi_(std::min(bin_hi + 1, window - 1)),
-      resync_interval_(resync_interval == 0 ? window : resync_interval),
       ring_(window, 0.0) {
   NIMBUS_CHECK(n_ > 0 && lo_ <= hi_ && hi_ < n_);
   const std::size_t count = ihi_ - ilo_ + 1;
@@ -50,7 +49,7 @@ void SlidingDft::add_sample(double x) {
   for (std::size_t i = 0; i < bins_.size(); ++i) {
     bins_[i] = (bins_[i] + delta) * rot_[i];
   }
-  if (size_ == n_ && ++since_resync_ >= resync_interval_) force_resync();
+  if (size_ == n_ && ++since_resync_ >= n_) force_resync();
 }
 
 void SlidingDft::reset() {

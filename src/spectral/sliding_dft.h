@@ -32,9 +32,9 @@
 // periodic Hann; for N=500 the two windows differ by O(1/N) per tap.)
 //
 // Floating-point drift from the recurrence is bounded by a periodic full
-// recompute (one direct pass per tracked bin) every `resync_interval`
-// samples — one window turnover by default — so steady-state cost stays
-// O(tracked_bins) amortized per sample.  reset() is O(1): it only rewinds
+// recompute (one direct pass per tracked bin) once per window turnover (N
+// samples), so steady-state cost stays O(tracked_bins) amortized per
+// sample.  reset() is O(1): it only rewinds
 // the fill state, because samples are write-only until the window refills.
 #pragma once
 
@@ -51,9 +51,7 @@ class SlidingDft {
   /// Tracks bins [bin_lo, bin_hi] of an N-point (`window`) DFT.  Queries
   /// are valid for exactly that range; the engine internally also
   /// maintains bins bin_lo-1 and bin_hi+1 for the Hann convolution.
-  /// `resync_interval` = samples between full recomputes (0 = one window).
-  SlidingDft(std::size_t window, std::size_t bin_lo, std::size_t bin_hi,
-             std::size_t resync_interval = 0);
+  SlidingDft(std::size_t window, std::size_t bin_lo, std::size_t bin_hi);
 
   /// Pushes one sample; O(tracked_bins).
   void add_sample(double x);
@@ -96,7 +94,6 @@ class SlidingDft {
   std::size_t n_;                // window length N
   std::size_t lo_, hi_;          // queryable band
   std::size_t ilo_, ihi_;        // maintained band (lo-1 .. hi+1, clamped)
-  std::size_t resync_interval_;
   std::vector<double> ring_;     // N samples; head_ = oldest
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -14,17 +14,6 @@ double Spectrum::frequency(std::size_t k) const {
   return bin_frequency(k, n == 0 ? 1 : n, sample_rate_hz);
 }
 
-std::size_t Spectrum::bin_of(double f_hz) const {
-  const std::size_t n = (bins() - 1) * 2;
-  return frequency_bin(f_hz, n == 0 ? 1 : n, sample_rate_hz);
-}
-
-double Spectrum::magnitude_at(double f_hz) const {
-  const std::size_t k = bin_of(f_hz);
-  NIMBUS_CHECK(k < bins());
-  return magnitude[k];
-}
-
 double Spectrum::peak_in(double f_lo, double f_hi) const {
   double best = 0.0;
   for (std::size_t k = 1; k < bins(); ++k) {
@@ -42,12 +31,11 @@ double Spectrum::dominant_frequency() const {
   return bins() > 1 ? frequency(best) : 0.0;
 }
 
-Spectrum analyze(const std::vector<double>& signal, double sample_rate_hz,
-                 WindowType window) {
+Spectrum analyze(const std::vector<double>& signal, double sample_rate_hz) {
   NIMBUS_CHECK(!signal.empty());
   std::vector<double> x = signal;
   remove_mean(x);
-  apply_window(x, window);
+  apply_window(x);
   Spectrum spec;
   spec.sample_rate_hz = sample_rate_hz;
   spec.magnitude = magnitude_spectrum(x);

@@ -15,8 +15,6 @@ struct Spectrum {
 
   std::size_t bins() const { return magnitude.size(); }
   double frequency(std::size_t k) const;
-  std::size_t bin_of(double f_hz) const;
-  double magnitude_at(double f_hz) const;
 
   /// Peak magnitude over bins with frequency strictly inside (f_lo, f_hi).
   /// Returns 0 if no bin falls in the range.
@@ -26,10 +24,10 @@ struct Spectrum {
   double dominant_frequency() const;
 };
 
-/// Computes the spectrum of `signal` (mean removed, window applied).
-/// The signal length is preserved (Bluestein handles non-power-of-two).
-Spectrum analyze(const std::vector<double>& signal, double sample_rate_hz,
-                 WindowType window = WindowType::kHann);
+/// Computes the spectrum of `signal` (mean removed, periodic Hann
+/// applied).  The signal length is preserved (Bluestein handles
+/// non-power-of-two).
+Spectrum analyze(const std::vector<double>& signal, double sample_rate_hz);
 
 /// The paper's elasticity metric (Eq. 3) on an existing spectrum:
 ///   eta = |FFT(f_p)| / max_{f in (f_p, 2 f_p)} |FFT(f)|.

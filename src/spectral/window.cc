@@ -6,37 +6,21 @@
 
 namespace nimbus::spectral {
 
-std::vector<double> make_window(WindowType type, std::size_t n) {
+std::vector<double> make_window(std::size_t n) {
   std::vector<double> w(n, 1.0);
-  if (n <= 1 || type == WindowType::kRect) return w;
-  // Periodic windows divide by n (the window is one period of a sequence
-  // whose DFT lands on exact bins); symmetric windows divide by n-1.
-  const double denom = type == WindowType::kHannPeriodic
-                           ? static_cast<double>(n)
-                           : static_cast<double>(n - 1);
+  if (n <= 1) return w;
+  // Periodic: divide by n (the window is one period of a sequence whose
+  // DFT lands on exact bins), not by n-1 as the symmetric Hann does.
+  const double denom = static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double x = static_cast<double>(i) / denom;
-    switch (type) {
-      case WindowType::kRect:
-        break;
-      case WindowType::kHann:
-      case WindowType::kHannPeriodic:
-        w[i] = 0.5 - 0.5 * std::cos(2.0 * M_PI * x);
-        break;
-      case WindowType::kHamming:
-        w[i] = 0.54 - 0.46 * std::cos(2.0 * M_PI * x);
-        break;
-      case WindowType::kBlackman:
-        w[i] = 0.42 - 0.5 * std::cos(2.0 * M_PI * x) +
-               0.08 * std::cos(4.0 * M_PI * x);
-        break;
-    }
+    w[i] = 0.5 - 0.5 * std::cos(2.0 * M_PI * x);
   }
   return w;
 }
 
-void apply_window(std::vector<double>& signal, WindowType type) {
-  const auto w = make_window(type, signal.size());
+void apply_window(std::vector<double>& signal) {
+  const auto w = make_window(signal.size());
   apply_window(signal, w);
 }
 

@@ -68,13 +68,4 @@ double FlowWorkload::elastic_byte_fraction(const sim::Recorder& rec,
                    : 0.0;
 }
 
-bool FlowWorkload::elastic_active(const sim::Recorder& rec, TimeNs t0,
-                                  TimeNs t1) const {
-  for (const auto& a : arrivals_) {
-    if (!a.elastic) continue;
-    if (rec.delivered(a.id).bytes_in(t0, t1) > 0) return true;
-  }
-  return false;
-}
-
 }  // namespace nimbus::traffic

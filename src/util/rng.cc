@@ -90,10 +90,6 @@ double Rng::bounded_pareto(double alpha, double lo, double hi) {
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
-double Rng::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {

@@ -42,9 +42,6 @@ class Rng {
   /// Bounded Pareto on [lo, hi] with shape alpha.
   double bounded_pareto(double alpha, double lo, double hi);
 
-  /// Log-normal with parameters of the underlying normal.
-  double lognormal(double mu, double sigma);
-
   /// True with probability p.
   bool bernoulli(double p);
 

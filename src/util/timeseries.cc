@@ -13,16 +13,6 @@ void TimeSeries::add(TimeNs t, double v) {
   values_.push_back(v);
 }
 
-TimeNs TimeSeries::first_time() const {
-  NIMBUS_CHECK(!times_.empty());
-  return times_.front();
-}
-
-TimeNs TimeSeries::last_time() const {
-  NIMBUS_CHECK(!times_.empty());
-  return times_.back();
-}
-
 std::optional<double> TimeSeries::mean_in(TimeNs t0, TimeNs t1) const {
   const auto lo = std::lower_bound(times_.begin(), times_.end(), t0);
   const auto hi = std::lower_bound(times_.begin(), times_.end(), t1);
@@ -97,11 +87,11 @@ void TimeSeries::clear() {
 
 void ByteCounter::add(TimeNs t, std::int64_t bytes) {
   total_ += bytes;
-  // Bucketed mode stamps the sample at the bucket's last nanosecond, so a
+  // The sample is stamped at the bucket's last nanosecond, so a
   // bucket-aligned boundary B sees exactly the packets delivered before B
-  // (their stamps are <= B-1) — the same answer the exact mode gives.
-  const TimeNs stamp = bucket_ > 0 ? (t / bucket_) * bucket_ + bucket_ - 1 : t;
-  if (!times_.empty() && stamp == times_.back() && bucket_ > 0) {
+  // (their stamps are <= B-1) — the same answer per-add stamps would give.
+  const TimeNs stamp = (t / kBucketWidth) * kBucketWidth + kBucketWidth - 1;
+  if (!times_.empty() && stamp == times_.back()) {
     cumulative_.back() = total_;
     return;
   }

@@ -27,8 +27,6 @@ class TimeSeries {
 
   const std::vector<TimeNs>& times() const { return times_; }
   const std::vector<double>& values() const { return values_; }
-  TimeNs first_time() const;
-  TimeNs last_time() const;
 
   /// Mean of samples with t in [t0, t1); nullopt if the window holds no
   /// samples.  (The pre-PR-4 contract returned 0.0 for an empty window,
@@ -61,29 +59,24 @@ class TimeSeries {
 /// `add(t, bytes)` accumulates; `rate_bps(t0, t1)` is the average rate over
 /// the interval.  Used for per-flow throughput accounting.
 ///
-/// Storage comes in two modes.  The default records one (time, cumulative)
-/// pair per add() — exact at any query boundary.  A counter constructed
-/// with a bucket width instead collapses all adds inside one bucket into a
-/// single pair stamped at the bucket's last nanosecond: the recorder's
-/// per-delivery hot path then usually just overwrites the running
-/// cumulative instead of growing a vector (~8 packets/bucket/flow at
-/// paper rates with 1 ms buckets), and memory shrinks accordingly.
+/// Storage is bucketed: all adds inside one kBucketWidth window collapse
+/// into a single (time, cumulative) pair stamped at the bucket's last
+/// nanosecond.  The recorder's per-delivery hot path then usually just
+/// overwrites the running cumulative instead of growing a vector (~8
+/// packets/bucket/flow at paper rates), and memory shrinks accordingly.
 /// Queries whose boundaries are bucket-aligned — every bench reduces on
-/// second/millisecond grids — return bit-identical results to the exact
-/// mode; a boundary cutting through a bucket attributes that bucket's
-/// bytes to its final nanosecond.
+/// second/millisecond grids — return bit-identical results to a counter
+/// storing one pair per add (tests/oracles/exact_byte_counter.h); a
+/// boundary cutting through a bucket attributes that bucket's bytes to its
+/// final nanosecond.
 class ByteCounter {
  public:
-  ByteCounter() = default;
-  /// Time-bucketed sampling: adds within one `bucket_width` window merge
-  /// into a single sample at the window's last nanosecond.
-  explicit ByteCounter(TimeNs bucket_width) : bucket_(bucket_width) {}
+  static constexpr TimeNs kBucketWidth = from_ms(1);
 
   void add(TimeNs t, std::int64_t bytes);
   std::int64_t total() const { return total_; }
-  TimeNs bucket_width() const { return bucket_; }
-  /// Stored sample count (bucketed counters grow ~bucket-fill times
-  /// slower than per-packet ones; exposed for tests and benches).
+  /// Stored sample count: at most one per occupied bucket (exposed for
+  /// tests and benches).
   std::size_t samples() const { return times_.size(); }
 
   /// Bytes recorded with t in [t0, t1).
@@ -99,7 +92,6 @@ class ByteCounter {
   std::vector<TimeNs> times_;
   std::vector<std::int64_t> cumulative_;  // cumulative bytes after the event
   std::int64_t total_ = 0;
-  TimeNs bucket_ = 0;  // 0 = exact per-add samples
 };
 
 }  // namespace nimbus::util

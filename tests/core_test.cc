@@ -265,7 +265,7 @@ TEST(BasicDelayCoreTest, EquilibriumAtTarget) {
   bd.init(48e6);
   const double s = 48e6, z = kMu - s;
   const double r = bd.update(
-      s, z, kMu, from_ms(50) + bd.params().target_delay, from_ms(50));
+      s, z, kMu, from_ms(50) + BasicDelayCore::kTargetDelay, from_ms(50));
   EXPECT_NEAR(r, s, 1e3);
 }
 
@@ -274,7 +274,7 @@ TEST(BasicDelayCoreTest, RespectsMinRateAndMuClamp) {
   bd.init(1e6);
   // Massive over-delay: clamped at min rate.
   const double lo = bd.update(1e6, 90e6, kMu, from_ms(500), from_ms(50));
-  EXPECT_GE(lo, bd.params().min_rate_bps);
+  EXPECT_GE(lo, BasicDelayCore::kMinRateBps);
   // Massive spare capacity claim: clamped at 1.25*mu (transient
   // overshoot allowed so the queue can build toward the target).
   bd.init(kMu);

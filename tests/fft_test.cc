@@ -167,29 +167,6 @@ TEST(GoertzelTest, AtFrequency) {
 
 // --- windows ---
 
-TEST(WindowTest, RectIsOnes) {
-  const auto w = make_window(WindowType::kRect, 16);
-  for (double v : w) EXPECT_DOUBLE_EQ(v, 1.0);
-}
-
-class WindowTypeTest : public ::testing::TestWithParam<WindowType> {};
-
-TEST_P(WindowTypeTest, SymmetricAndBounded) {
-  const auto w = make_window(GetParam(), 101);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_NEAR(w[i], w[w.size() - 1 - i], 1e-12);
-    EXPECT_GE(w[i], -1e-12);
-    EXPECT_LE(w[i], 1.0 + 1e-12);
-  }
-  // Peak at the center.
-  EXPECT_NEAR(w[50], 1.0, 0.09);
-}
-
-INSTANTIATE_TEST_SUITE_P(Types, WindowTypeTest,
-                         ::testing::Values(WindowType::kHann,
-                                           WindowType::kHamming,
-                                           WindowType::kBlackman));
-
 TEST(WindowTest, HannReducesLeakage) {
   // An off-bin tone (5.1 Hz with 0.2 Hz resolution) leaks; Hann should
   // concentrate more energy near the tone than rectangular windowing at
@@ -202,7 +179,7 @@ TEST(WindowTest, HannReducesLeakage) {
   auto rect = x;
   const auto rect_mags = magnitude_spectrum(rect);
   auto hann = x;
-  apply_window(hann, WindowType::kHann);
+  apply_window(hann);
   const auto hann_mags = magnitude_spectrum(hann);
   // Compare leakage at 8 Hz (bin 40), far from the tone.
   EXPECT_LT(hann_mags[40], rect_mags[40]);
@@ -213,7 +190,7 @@ TEST(WindowTest, PeriodicHannIsThreeExponentials) {
   // - 0.25 e^{-2*pi*i*j/n} — the identity that lets the sliding-DFT
   // engine apply it as a 3-bin frequency-domain convolution.
   const std::size_t n = 500;
-  const auto w = make_window(WindowType::kHannPeriodic, n);
+  const auto w = make_window(n);
   double hann_sum = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     const double ang = 2.0 * M_PI * static_cast<double>(j) /
@@ -225,23 +202,16 @@ TEST(WindowTest, PeriodicHannIsThreeExponentials) {
   EXPECT_NEAR(hann_sum, static_cast<double>(n) / 2.0, 1e-9);
   EXPECT_DOUBLE_EQ(w[0], 0.0);
   // Periodic (denominator n): the last tap is NOT zero — conceptually the
-  // window wraps, with the missing zero at index n.  The symmetric Hann
-  // (denominator n-1) ends on an explicit zero instead.
+  // window wraps, with the missing zero at index n.
   EXPECT_GT(w[n - 1], 0.0);
-  const auto sym = make_window(WindowType::kHann, n);
-  EXPECT_DOUBLE_EQ(sym[n - 1], 0.0);
-  // The two differ by O(1/n) per tap.
-  for (std::size_t j = 0; j < n; ++j) {
-    EXPECT_NEAR(w[j], sym[j], 2.0 * M_PI / static_cast<double>(n));
-  }
 }
 
-TEST(WindowTest, PrecomputedOverloadMatchesTypeOverload) {
+TEST(WindowTest, PrecomputedOverloadMatchesComputedWindow) {
   util::Rng rng(17);
   std::vector<double> a(256), b(256);
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = b[i] = rng.uniform(-1, 1);
-  apply_window(a, WindowType::kBlackman);
-  apply_window(b, make_window(WindowType::kBlackman, b.size()));
+  apply_window(a);
+  apply_window(b, make_window(b.size()));
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 

@@ -46,8 +46,7 @@ ReferenceElasticityDetector::ReferenceElasticityDetector()
 ReferenceElasticityDetector::ReferenceElasticityDetector(const Config& config)
     : cfg_(config),
       signal_(core::detector_window_samples(config)),
-      window_(spectral::make_window(spectral::WindowType::kHannPeriodic,
-                                    signal_.capacity())) {
+      window_(spectral::make_window(signal_.capacity())) {
   NIMBUS_CHECK(cfg_.sample_rate_hz > 0 && cfg_.duration_sec > 0);
 }
 
@@ -78,8 +77,7 @@ double ReferenceElasticityDetector::magnitude_near(double f_hz) const {
 }
 
 spectral::Spectrum ReferenceElasticityDetector::full_spectrum() const {
-  return spectral::analyze(signal_.snapshot(), cfg_.sample_rate_hz,
-                           spectral::WindowType::kHannPeriodic);
+  return spectral::analyze(signal_.snapshot(), cfg_.sample_rate_hz);
 }
 
 }  // namespace nimbus::oracles

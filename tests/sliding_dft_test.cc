@@ -63,7 +63,7 @@ std::uint64_t alloc_count() {
 // computed from scratch exactly the way the oracle detector does.
 double reference_hann_magnitude(std::vector<double> x, std::size_t k) {
   spectral::remove_mean(x);
-  spectral::apply_window(x, spectral::WindowType::kHannPeriodic);
+  spectral::apply_window(x);
   return spectral::goertzel_magnitude(x, k);
 }
 

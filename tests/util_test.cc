@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/exact_byte_counter.h"
 #include "util/csv.h"
 #include "util/ewma.h"
 #include "util/rng.h"
@@ -371,12 +372,11 @@ TEST(ByteCounterTest, EmptyIntervals) {
   EXPECT_DOUBLE_EQ(c.rate_bps(0, from_sec(1)), 0.0);
 }
 
-// Bucketed mode (the recorder's delivered-bytes configuration): adds
-// inside one bucket collapse into a single stored sample, and every
-// bucket-aligned query answers exactly like the per-sample counter.
+// Adds inside one 1 ms bucket collapse into a single stored sample, and
+// every bucket-aligned query answers exactly like the per-add oracle.
 TEST(ByteCounterTest, BucketedMatchesExactOnAlignedQueries) {
-  util::ByteCounter exact;
-  util::ByteCounter bucketed(from_ms(1));
+  oracles::ExactByteCounter exact;
+  util::ByteCounter bucketed;
   // Simulated packet arrivals at 125 us spacing across 40 ms, with a gap.
   std::vector<TimeNs> stamps;
   for (int i = 0; i < 160; ++i) stamps.push_back(i * from_ms(0.125));
@@ -403,8 +403,23 @@ TEST(ByteCounterTest, BucketedMatchesExactOnAlignedQueries) {
   for (std::size_t i = 0; i < eb.size(); ++i) EXPECT_DOUBLE_EQ(bb[i], eb[i]);
 }
 
+// bench_micro's BM_DeliveryByteCounterBucketed workload (a 96 Mbit/s
+// flow: 32768 adds at 125 us spacing, t = 0.125 ms .. 4096 ms) must store
+// one sample per occupied 1 ms bucket — buckets 0..4096, so 4097 — not one
+// per add.
+TEST(ByteCounterTest, BenchWorkloadStoresOneSamplePerBucket) {
+  util::ByteCounter c;
+  TimeNs t = 0;
+  for (int i = 0; i < 32768; ++i) {
+    t += 125'000;
+    c.add(t, 1500);
+  }
+  EXPECT_EQ(c.samples(), 4097u);
+  EXPECT_EQ(c.total(), 32768 * 1500);
+}
+
 TEST(ByteCounterTest, BucketedStillRejectsTimeTravel) {
-  util::ByteCounter c(from_ms(1));
+  util::ByteCounter c;
   c.add(from_ms(5), 100);
   c.add(from_ms(5) + 1, 100);  // same bucket: merges
   EXPECT_EQ(c.samples(), 1u);
