@@ -5,60 +5,54 @@
 //
 //   $ ./examples/elasticity_probe [elastic|inelastic|mixed]
 #include <cstdio>
-#include <cstring>
+#include <string>
 
-#include "cc/cubic.h"
-#include "core/nimbus.h"
-#include "sim/network.h"
-#include "traffic/raw_sources.h"
+#include "exp/scenario.h"
+#include "util/stats.h"
 
 using namespace nimbus;
 
 int main(int argc, char** argv) {
   const std::string kind = argc > 1 ? argv[1] : "mixed";
-  const double mu = 96e6;
-  sim::Network net(mu, sim::buffer_bytes_for_bdp(mu, from_ms(50), 2.0));
+  if (argc > 2 ||
+      (kind != "elastic" && kind != "inelastic" && kind != "mixed")) {
+    std::fprintf(stderr, "usage: %s [elastic|inelastic|mixed]\n", argv[0]);
+    return 2;
+  }
+
+  exp::ScenarioSpec spec;
+  spec.name = "probe/" + kind;
+  spec.mu_bps = 96e6;
+  spec.duration = from_sec(30);
 
   // The probe: a Nimbus instance pinned to delay mode (we only use its
   // estimator + detector, not the mode-switching policy).
-  core::Nimbus::Config cfg;
-  cfg.known_mu_bps = mu;
-  cfg.eta_threshold = 1e9;  // never switch; observe only
-  auto algo = std::make_unique<core::Nimbus>(cfg);
-  core::Nimbus* probe = algo.get();
-  sim::TransportFlow::Config fc;
-  fc.id = 1;
-  fc.rtt_prop = from_ms(50);
-  net.add_flow(fc, std::move(algo));
+  spec.protagonist.use_nimbus_config = true;
+  spec.protagonist.nimbus.eta_threshold = 1e9;  // never switch; observe only
+  spec.protagonist.seed = 1;
 
   // The cross traffic under test.
-  if (kind == "elastic" || kind == "mixed") {
-    sim::TransportFlow::Config cb;
-    cb.id = 2;
-    cb.rtt_prop = from_ms(50);
-    cb.seed = 7;
-    net.add_flow(cb, std::make_unique<cc::Cubic>());
+  if (kind != "inelastic") {
+    exp::CrossSpec cubic = exp::CrossSpec::flow("cubic", 2);
+    cubic.seed = 7;
+    spec.cross.push_back(cubic);
   }
-  if (kind == "inelastic" || kind == "mixed") {
-    traffic::PoissonSource::Config pc;
-    pc.id = 3;
-    pc.mean_rate_bps = kind == "mixed" ? 24e6 : 48e6;
-    net.add_source(std::make_unique<traffic::PoissonSource>(
-        &net.loop(), &net.link(), pc));
+  if (kind != "elastic") {
+    exp::CrossSpec poisson =
+        exp::CrossSpec::poisson(kind == "mixed" ? 24e6 : 48e6, 3);
+    poisson.seed = 99;
+    spec.cross.push_back(poisson);
   }
 
-  util::TimeSeries etas;
-  probe->set_status_handler([&](const core::Nimbus::Status& s) {
-    if (s.detector_ready) etas.add(s.now, s.eta_raw);
-  });
-  net.run_until(from_sec(30));
+  const exp::ScenarioRun run = exp::run_scenario(spec);
+  const core::Nimbus& probe = *run.built.nimbus;
 
-  // Verdict.
+  // Verdict, from the single-window eta of every report after warmup.
   util::Percentiles p;
-  p.add_all(etas.values_in(from_sec(10), from_sec(30)));
+  p.add_all(run.eta_raw_log->values_in(from_sec(10), from_sec(30)));
   std::printf("cross traffic under test: %s\n", kind.c_str());
   std::printf("estimated cross rate:     %.1f Mbit/s\n",
-              probe->last_z_bps() / 1e6);
+              probe.last_z_bps() / 1e6);
   std::printf("eta (p25/p50/p75):        %.2f / %.2f / %.2f\n",
               p.percentile(0.25), p.median(), p.percentile(0.75));
   std::printf("verdict:                  %s (threshold 2.0)\n\n",
@@ -66,12 +60,12 @@ int main(int argc, char** argv) {
                                 : "no elastic cross traffic detected");
 
   // The evidence: an ASCII rendering of the z(t) spectrum around f_p.
-  const auto spec = probe->detector().full_spectrum();
+  const auto spectrum = probe.detector().full_spectrum();
   std::printf("z(t) magnitude spectrum (*: pulse frequency band):\n");
-  for (std::size_t k = 1; k < spec.bins() && spec.frequency(k) <= 15.0;
-       ++k) {
-    const double f = spec.frequency(k);
-    const int bar = static_cast<int>(spec.magnitude[k] / 1e6 * 40);
+  for (std::size_t k = 1;
+       k < spectrum.bins() && spectrum.frequency(k) <= 15.0; ++k) {
+    const double f = spectrum.frequency(k);
+    const int bar = static_cast<int>(spectrum.magnitude[k] / 1e6 * 40);
     std::printf("%5.1f Hz %c |%.*s\n", f,
                 (f > 4.7 && f < 5.3) ? '*' : ' ',
                 bar > 60 ? 60 : bar,

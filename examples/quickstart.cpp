@@ -1,81 +1,61 @@
 // Quickstart: the smallest end-to-end use of the library.
 //
-// Builds a 48 Mbit/s bottleneck, runs one Nimbus flow against cross
+// Declares a 48 Mbit/s bottleneck with one Nimbus flow against cross
 // traffic that changes from inelastic (CBR) to elastic (Cubic) halfway
-// through, and prints what the elasticity detector concluded and what it
-// did about it.
+// through, runs it, and prints what the elasticity detector concluded and
+// what it did about it.
 //
 //   $ ./examples/quickstart
 #include <cstdio>
 
-#include "cc/cubic.h"
-#include "core/nimbus.h"
-#include "exp/ground_truth.h"
-#include "sim/network.h"
-#include "traffic/raw_sources.h"
+#include "exp/scenario.h"
 
 using namespace nimbus;
 
 int main() {
   // 1. A network: 48 Mbit/s bottleneck, 50 ms propagation RTT, 2 BDP of
-  //    DropTail buffering (the paper's standard setup, Fig. 1).
-  const double mu = 48e6;
-  const TimeNs rtt = from_ms(50);
-  sim::Network net(mu, sim::buffer_bytes_for_bdp(mu, rtt, 2.0));
+  //    DropTail buffering (the paper's standard setup, Fig. 1; RTT and
+  //    buffer are the spec defaults).
+  exp::ScenarioSpec spec;
+  spec.name = "quickstart";
+  spec.mu_bps = 48e6;
+  spec.duration = from_sec(120);
 
-  // 2. The protagonist: a backlogged Nimbus flow.  We tell it the link
-  //    rate (controlled experiment); leave known_mu_bps = 0 to have it
-  //    estimated online.
-  core::Nimbus::Config cfg;
-  cfg.known_mu_bps = mu;
-  auto algo = std::make_unique<core::Nimbus>(cfg);
-  core::Nimbus* nimbus = algo.get();
-
-  sim::TransportFlow::Config fc;
-  fc.id = 1;
-  fc.rtt_prop = rtt;
-  net.recorder().track_flow(fc.id);
-  net.add_flow(fc, std::move(algo));
+  // 2. The protagonist: a backlogged Nimbus flow, id 1 (the default).  The
+  //    spec tells it the link rate (controlled experiment); set
+  //    spec.protagonist.known_mu = false to have it estimated online.
+  spec.protagonist.scheme = "nimbus";
 
   // 3. Cross traffic: inelastic 24 Mbit/s CBR for the first 60 s, then a
   //    long-running Cubic flow for the next 60 s.
-  traffic::CbrSource::Config cbr;
-  cbr.id = 2;
-  cbr.rate_bps = 24e6;
-  cbr.stop_time = from_sec(60);
-  net.add_source(
-      std::make_unique<traffic::CbrSource>(&net.loop(), &net.link(), cbr));
+  spec.cross.push_back(exp::CrossSpec::cbr(24e6, 2, 0, from_sec(60)));
+  exp::CrossSpec cubic = exp::CrossSpec::flow("cubic", 3, from_sec(60));
+  cubic.seed = 1;
+  spec.cross.push_back(cubic);
 
-  sim::TransportFlow::Config cub;
-  cub.id = 3;
-  cub.rtt_prop = rtt;
-  cub.start_time = from_sec(60);
-  net.add_flow(cub, std::make_unique<cc::Cubic>());
+  // 4. Run 120 simulated seconds.  The run logs Nimbus's decisions from
+  //    its status stream (run.mode_log, run.eta_log).
+  const exp::ScenarioRun run = exp::run_scenario(spec);
+  const sim::Recorder& rec = run.built.net->recorder();
 
-  // 4. Observe Nimbus's decisions through its status stream.
-  exp::ModeLog mode_log;
-  util::TimeSeries eta_log;
-  exp::attach_nimbus_logger(nimbus, &mode_log, &eta_log);
-
-  // 5. Run 120 simulated seconds and report per-10s stats.
+  // 5. Report per-10s stats.
   std::printf(
       "time     mode       eta   nimbus_rate  cross_rate  queue_delay\n");
   for (int t = 10; t <= 120; t += 10) {
-    net.run_until(from_sec(t));
     const TimeNs a = from_sec(t - 10), b = from_sec(t);
-    const double comp = mode_log.fraction_competitive(a, b);
+    const double comp = run.mode_log->fraction_competitive(a, b);
     std::printf(
         "%3d s    %-9s %5.2f  %7.1f Mbps %7.1f Mbps %8.1f ms\n", t,
-        comp > 0.5 ? "compete" : "delay", eta_log.mean_in(a, b).value_or(0.0),
-        net.recorder().delivered(1).rate_bps(a, b) / 1e6,
-        (net.recorder().delivered(2).rate_bps(a, b) +
-         net.recorder().delivered(3).rate_bps(a, b)) /
+        comp > 0.5 ? "compete" : "delay",
+        run.eta_log->mean_in(a, b).value_or(0.0),
+        rec.delivered(1).rate_bps(a, b) / 1e6,
+        (rec.delivered(2).rate_bps(a, b) + rec.delivered(3).rate_bps(a, b)) /
             1e6,
-        net.recorder().probed_queue_delay().mean_in(a, b).value_or(0.0));
+        rec.probed_queue_delay().mean_in(a, b).value_or(0.0));
   }
 
   std::printf(
-      "\nExpected shape: delay mode at ~12.5 ms queueing for the CBR hour,"
+      "\nExpected shape: delay mode at ~12.5 ms queueing for the 60 s of CBR,"
       "\nthen a switch to TCP-competitive mode within ~5-10 s of the Cubic"
       "\narriving, holding roughly the 24 Mbit/s fair share.\n");
   return 0;

@@ -3,65 +3,62 @@
 // do is "back off and keep delay low" or "compete" depends on the video's
 // bitrate relative to the link — exactly what elasticity detection decides.
 //
+// Each bitrate is one ScenarioSpec; both run through exp::run_sweep.
+//
 //   $ ./examples/video_streaming
 #include <cstdio>
 
-#include "core/nimbus.h"
-#include "exp/ground_truth.h"
+#include "exp/runner.h"
+#include "exp/scenario.h"
 #include "exp/summary.h"
-#include "sim/network.h"
-#include "traffic/video_source.h"
 
 using namespace nimbus;
 
 namespace {
 
-void run_case(const char* label, double video_bitrate_bps) {
-  const double mu = 48e6;
-  sim::Network net(mu, sim::buffer_bytes_for_bdp(mu, from_ms(50), 2.0));
+exp::ScenarioSpec make_spec(const std::string& name, double video_bps) {
+  exp::ScenarioSpec spec;
+  spec.name = "video/" + name;
+  spec.mu_bps = 48e6;
+  spec.duration = from_sec(60);
+  spec.protagonist.scheme = "nimbus";  // the bulk transfer, flow 1
+  exp::CrossSpec video;
+  video.kind = exp::CrossSpec::Kind::kVideo;
+  video.id = 2;
+  video.rate_bps = video_bps;
+  spec.cross.push_back(video);
+  return spec;
+}
 
-  core::Nimbus::Config cfg;
-  cfg.known_mu_bps = mu;
-  auto algo = std::make_unique<core::Nimbus>(cfg);
-  core::Nimbus* nimbus = algo.get();
-  sim::TransportFlow::Config fc;
-  fc.id = 1;
-  fc.rtt_prop = from_ms(50);
-  net.recorder().track_flow(1);
-  net.add_flow(fc, std::move(algo));
-
-  traffic::VideoSource::Config vc;
-  vc.bitrate_bps = video_bitrate_bps;
-  auto video = std::make_unique<traffic::VideoSource>(&net, vc);
-  const sim::FlowId video_id = video->id();
-  net.add_source(std::move(video));
-
-  exp::ModeLog mode_log;
-  exp::attach_nimbus_logger(nimbus, &mode_log);
-  net.run_until(from_sec(60));
-
-  const auto bulk =
-      exp::summarize_flow(net.recorder(), 1, from_sec(10), from_sec(60));
-  const double video_rate =
-      net.recorder().delivered(video_id).rate_bps(from_sec(10),
-                                                  from_sec(60)) /
-      1e6;
-  const double comp =
-      mode_log.fraction_competitive(from_sec(10), from_sec(60));
-  std::printf(
-      "%-18s video %4.1f Mbps | bulk %5.1f Mbps @ %5.1f ms RTT | "
-      "mode: %s (%.0f%% competitive)\n",
-      label, video_rate, bulk.mean_rate_mbps, bulk.mean_rtt_ms,
-      comp > 0.5 ? "TCP-competitive" : "delay-control", comp * 100);
+// Cell layout: [video_mbps, bulk_mbps, bulk_rtt_ms, fraction_competitive].
+exp::CellResult collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+  const auto& rec = run.built.net->recorder();
+  const TimeNs a = from_sec(10), b = spec.duration;
+  const exp::FlowSummary bulk = exp::summarize_flow(rec, 1, a, b);
+  return exp::CellResult::vec({rec.delivered(2).rate_bps(a, b) / 1e6,
+                               bulk.mean_rate_mbps, bulk.mean_rtt_ms,
+                               run.mode_log->fraction_competitive(a, b)});
 }
 
 }  // namespace
 
 int main() {
+  const char* labels[] = {"1080p (8 Mbps):", "4K (40 Mbps):"};
+  const std::vector<exp::ScenarioSpec> specs = {
+      make_spec("1080p", 8e6),  // app-limited -> inelastic
+      make_spec("4k", 40e6),    // network-limited -> elastic
+  };
+
   std::printf("Bulk Nimbus transfer sharing a 48 Mbit/s link with DASH "
               "video:\n\n");
-  run_case("1080p (8 Mbps):", 8e6);    // app-limited -> inelastic
-  run_case("4K (40 Mbps):", 40e6);     // network-limited -> elastic
+  exp::run_sweep(specs, collect, [&](std::size_t i, exp::CellResult& r) {
+    const double comp = r.value(3);
+    std::printf(
+        "%-18s video %4.1f Mbps | bulk %5.1f Mbps @ %5.1f ms RTT | "
+        "mode: %s (%.0f%% competitive)\n",
+        labels[i], r.value(0), r.value(1), r.value(2),
+        comp > 0.5 ? "TCP-competitive" : "delay-control", comp * 100);
+  });
   std::printf(
       "\nThe 1080p stream idles between chunks (application-limited), so\n"
       "Nimbus holds delay-control mode: full residual throughput at low\n"

@@ -8,6 +8,7 @@
 // the comparison takes one scheme's wall-clock time.
 //
 //   $ ./examples/wan_workload [duration_seconds]
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -64,7 +65,15 @@ exp::CellResult collect(const exp::ScenarioSpec& spec,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double seconds = argc > 1 ? std::atof(argv[1]) : 60.0;
+  char* end = nullptr;
+  const double seconds = argc > 1 ? std::strtod(argv[1], &end) : 60.0;
+  if (argc > 2 || (argc > 1 && (end == argv[1] || *end != '\0')) ||
+      !(seconds > 0) || !std::isfinite(seconds)) {
+    std::fprintf(stderr,
+                 "usage: %s [duration_seconds]    (> 0, default 60)\n",
+                 argv[0]);
+    return 2;
+  }
   const TimeNs duration = from_sec(seconds);
   const std::vector<std::string> schemes = {"nimbus", "cubic", "vegas"};
   std::vector<exp::ScenarioSpec> specs;

@@ -71,25 +71,27 @@ void attach_nimbus_logger(core::Nimbus* nimbus, ModeLog* mode_log,
 
 namespace {
 
-// Self-rescheduling poller: a 32-byte copyable struct the event loop stores
-// inline (the seed version round-tripped a shared std::function per tick).
+// Copa's mode is sampled at the Nimbus report cadence.
+constexpr TimeNs kCopaPollInterval = from_ms(10);
+
+// Self-rescheduling poller: a 24-byte copyable struct the event loop stores
+// inline, so a tick allocates nothing.
 struct CopaPoll {
   sim::Network* net;
   const cc::Copa* copa;
   ModeLog* mode_log;
-  TimeNs interval;
   void operator()() const {
     mode_log->add(net->loop().now(), copa->in_competitive_mode());
-    net->loop().schedule_in(interval, *this);
+    net->loop().schedule_in(kCopaPollInterval, *this);
   }
 };
 
 }  // namespace
 
 void attach_copa_poller(sim::Network* net, const cc::Copa* copa,
-                        ModeLog* mode_log, TimeNs interval) {
+                        ModeLog* mode_log) {
   NIMBUS_CHECK(net != nullptr && copa != nullptr && mode_log != nullptr);
-  net->loop().schedule_in(interval, CopaPoll{net, copa, mode_log, interval});
+  net->loop().schedule_in(kCopaPollInterval, CopaPoll{net, copa, mode_log});
 }
 
 std::optional<double> mean_z_error(

@@ -60,9 +60,9 @@ void attach_nimbus_logger(core::Nimbus* nimbus, ModeLog* mode_log,
                           util::TimeSeries* eta_raw_log = nullptr,
                           util::TimeSeries* rate_log = nullptr);
 
-/// Polls a Copa instance's mode every `interval` on the network's loop.
+/// Polls a Copa instance's mode every 10 ms on the network's loop.
 void attach_copa_poller(sim::Network* net, const cc::Copa* copa,
-                        ModeLog* mode_log, TimeNs interval = from_ms(10));
+                        ModeLog* mode_log);
 
 /// µ(t)-aware z-estimate scoring for time-varying-bottleneck experiments:
 /// mean of |z(t) − z_true(t)| / µ(t) over the z-log samples in [t0, t1),

@@ -87,23 +87,21 @@ LinkSpec LinkSpec::make_steps(std::vector<sim::RateStep> s) {
   return l;
 }
 
-LinkSpec LinkSpec::sine(double amplitude_frac, TimeNs period, TimeNs quantum) {
+LinkSpec LinkSpec::sine(double amplitude_frac, TimeNs period) {
   LinkSpec l;
   l.kind = Kind::kSine;
   l.amplitude_frac = amplitude_frac;
   l.period = period;
-  l.quantum = quantum;
   return l;
 }
 
 LinkSpec LinkSpec::random_walk(double amplitude_frac, TimeNs step_interval,
-                               double step_frac, std::uint64_t seed) {
+                               double step_frac) {
   LinkSpec l;
   l.kind = Kind::kRandomWalk;
   l.amplitude_frac = amplitude_frac;
   l.step_interval = step_interval;
   l.step_frac = step_frac;
-  l.seed = seed;
   return l;
 }
 
@@ -306,6 +304,9 @@ void add_cross_entry(const ScenarioSpec& spec, const CrossSpec& c,
 
 }  // namespace
 
+// Discretization grid of a kSine link.
+constexpr TimeNs kSineQuantum = from_ms(100);
+
 std::unique_ptr<sim::RateSchedule> make_link_schedule(
     const ScenarioSpec& spec) {
   const LinkSpec& l = spec.link;
@@ -316,20 +317,17 @@ std::unique_ptr<sim::RateSchedule> make_link_schedule(
       return sim::RateSchedule::steps(spec.mu_bps, l.steps);
     case LinkSpec::Kind::kSine:
       return sim::RateSchedule::sine(spec.mu_bps, l.amplitude_frac, l.period,
-                                     l.quantum);
+                                     kSineQuantum);
     case LinkSpec::Kind::kRandomWalk:
       return sim::RateSchedule::random_walk(
           spec.mu_bps, l.amplitude_frac, l.step_interval, l.step_frac,
           // Legacy stream 97 under the default base, like the other
-          // unseeded streams (no historical output to preserve — 97 is
+          // derived streams (no historical output to preserve — 97 is
           // just this subsystem's legacy constant).
-          l.seed != 0 ? l.seed : flow_seed(spec.seed, /*legacy=*/97));
+          flow_seed(spec.seed, /*legacy=*/97));
     case LinkSpec::Kind::kTrace: {
       sim::RateSchedule::TraceConfig cfg;
-      cfg.bytes_per_opportunity = l.trace_opportunity_bytes;
       cfg.bucket = l.trace_bucket;
-      cfg.min_rate_bps = l.trace_min_rate_bps;
-      cfg.scale = l.trace_scale;
       return sim::RateSchedule::from_trace_file(l.trace_path, cfg);
     }
   }
@@ -342,9 +340,8 @@ double mu_at(const ScenarioSpec& spec, TimeNs t) {
   return make_link_schedule(spec)->rate_at(t);
 }
 
-double trace_mean_rate_bps(const std::string& path,
-                           const sim::RateSchedule::TraceConfig& cfg) {
-  return sim::RateSchedule::from_trace_file(path, cfg)->mean_rate_bps();
+double trace_mean_rate_bps(const std::string& path) {
+  return sim::RateSchedule::from_trace_file(path)->mean_rate_bps();
 }
 
 BuiltScenario build_network(const ScenarioSpec& spec) {
@@ -429,8 +426,7 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
     NIMBUS_CHECK_MSG(copa != nullptr,
                      "log_copa_mode needs a Copa protagonist");
     run.mode_log = std::make_unique<ModeLog>();
-    attach_copa_poller(run.built.net.get(), copa, run.mode_log.get(),
-                       spec.copa_poll_interval);
+    attach_copa_poller(run.built.net.get(), copa, run.mode_log.get());
   }
   if (run.built.nimbus != nullptr) {
     run.mode_log = std::make_unique<ModeLog>();

@@ -6,9 +6,13 @@
 // schedule of cross traffic, and an optional heavy-tailed flow workload —
 // and build_network() assembles a ready-to-run sim::Network from it.
 // Specs are plain values: cheap to copy, sweep over, and hand to
-// exp::run_sweep (exp/runner.h), which runs batches of them across threads.
-// A spec is the only way to describe a network; build_network() is the
-// only way to assemble one.
+// exp::run_scenario (one run) or exp::run_sweep (exp/runner.h), which runs
+// batches of them across threads.  A spec is the only way benches,
+// examples and scenario tests describe a network; build_network() is the
+// only way to assemble one.  A field exists only if some experiment sets
+// it: values no experiment varies (the sine quantum, the Copa poll
+// interval, the flow workload's RTT and elastic threshold) are named
+// constants beside the code that reads them.
 #pragma once
 
 #include <cstdint>
@@ -144,30 +148,24 @@ struct LinkSpec {
   // amplitude; random-walk clamp to mu_bps·[1−a, 1+a]).
   double amplitude_frac = 0.25;
 
-  // kSine.
+  // kSine (quantised to make_link_schedule's 100 ms grid).
   TimeNs period = from_sec(10);
-  TimeNs quantum = from_ms(100);  // discretization grid
 
-  // kRandomWalk.
+  // kRandomWalk (seeded from the scenario seed, stream 97).
   TimeNs step_interval = from_ms(200);
   double step_frac = 0.05;   // per-step max move, fraction of mu_bps
-  std::uint64_t seed = 0;    // 0 = derive from the scenario seed
 
-  // kTrace: Mahimahi .trace file (ms-granularity delivery opportunities).
+  // kTrace: Mahimahi .trace file (ms-granularity delivery opportunities;
+  // the other sim::TraceScheduleConfig knobs keep their defaults).
   std::string trace_path;
-  std::int64_t trace_opportunity_bytes = 1504;
   TimeNs trace_bucket = from_ms(10);
-  double trace_min_rate_bps = 0.0;  // 0 = one opportunity per bucket
-  double trace_scale = 1.0;
 
   static LinkSpec constant() { return {}; }
   static LinkSpec make_steps(std::vector<sim::RateStep> s);
-  static LinkSpec sine(double amplitude_frac, TimeNs period,
-                       TimeNs quantum = from_ms(100));
+  static LinkSpec sine(double amplitude_frac, TimeNs period);
   static LinkSpec random_walk(double amplitude_frac,
                               TimeNs step_interval = from_ms(200),
-                              double step_frac = 0.05,
-                              std::uint64_t seed = 0);
+                              double step_frac = 0.05);
   static LinkSpec trace(std::string path);
 };
 
@@ -225,12 +223,11 @@ struct ScenarioSpec {
   std::uint64_t seed = kDefaultBaseSeed;
 
   /// When the protagonist is a Copa flow, poll its mode into
-  /// ScenarioRun::mode_log every copa_poll_interval (the Fig. 14/23
+  /// ScenarioRun::mode_log every 10 ms (attach_copa_poller; the Fig. 14/23
   /// comparisons score Copa's classifier).  Off by default: the poller
   /// schedules events, and scenarios that don't need it should not pay
   /// for — or have their event stream reshaped by — the extra ticks.
   bool log_copa_mode = false;
-  TimeNs copa_poll_interval = from_ms(10);
 
   /// Returns a copy with `seed` replaced (sweep convenience).
   ScenarioSpec with_seed(std::uint64_t s) const;
@@ -266,12 +263,10 @@ std::unique_ptr<sim::RateSchedule> make_link_schedule(const ScenarioSpec& spec);
 /// rate_at directly (trace/walk construction is not free).
 double mu_at(const ScenarioSpec& spec, TimeNs t);
 
-/// Mean rate of a Mahimahi trace under the given config — the value to
-/// put in ScenarioSpec::mu_bps for kTrace scenarios so buffers and
+/// Mean rate of a Mahimahi trace under the default trace config — the
+/// value to put in ScenarioSpec::mu_bps for kTrace scenarios so buffers and
 /// known-µ are sized off the trace's actual average capacity.
-double trace_mean_rate_bps(
-    const std::string& path,
-    const sim::RateSchedule::TraceConfig& cfg = {});
+double trace_mean_rate_bps(const std::string& path);
 
 /// A completed scenario run.  The logs are populated (and non-null) when
 /// the protagonist is a Nimbus flow — mode decisions, smoothed eta and raw

@@ -148,18 +148,13 @@ void emit_link(Canon& c, const std::string& p, const LinkSpec& l) {
   }
   c.d(p + ".amplitude_frac", l.amplitude_frac);
   c.i64(p + ".period", l.period);
-  c.i64(p + ".quantum", l.quantum);
   c.i64(p + ".step_interval", l.step_interval);
   c.d(p + ".step_frac", l.step_frac);
-  c.u64(p + ".seed", l.seed);
   c.s(p + ".trace_path", l.trace_path);
   c.line(p + ".trace_content", l.kind == LinkSpec::Kind::kTrace
                                    ? trace_content_hash(l.trace_path).hex()
                                    : "-");
-  c.i64(p + ".trace_opportunity_bytes", l.trace_opportunity_bytes);
   c.i64(p + ".trace_bucket", l.trace_bucket);
-  c.d(p + ".trace_min_rate_bps", l.trace_min_rate_bps);
-  c.d(p + ".trace_scale", l.trace_scale);
 }
 
 void emit_policer(Canon& c, const std::string& p,
@@ -239,26 +234,22 @@ void emit_workload(Canon& c, const std::string& p,
     c.d(q + ".lo_bytes", dist.bands()[i].lo_bytes);
     c.d(q + ".hi_bytes", dist.bands()[i].hi_bytes);
   }
-  c.i64(p + ".rtt_prop", w.rtt_prop);
-  c.i64(p + ".start_time", w.start_time);
-  c.i64(p + ".stop_time", w.stop_time);
   c.u64(p + ".seed", w.seed);
-  c.u64(p + ".mss", w.mss);
   // A std::function has no serializable content: refuse rather than hash a
   // spec whose behaviour the text does not capture (spec_cacheable gates
   // call sites; reaching this CHECK means a gate was skipped).
   NIMBUS_CHECK_MSG(!w.cc_factory,
                    "canonical_spec: workload cc_factory is not serializable");
   c.b(p + ".cc_factory", false);
-  c.u64(p + ".elastic_threshold_pkts", w.elastic_threshold_pkts);
 }
 
 }  // namespace
 
 std::string canonical_spec(const ScenarioSpec& spec) {
   Canon c;
-  // v2: added the per-direction impairment block (PR 8).
-  c.line("format", "scenario-canon/v3");
+  // Bump the version with every change to the emitted field set (v4
+  // dropped the link, workload and Copa-poll fields no experiment set).
+  c.line("format", "scenario-canon/v4");
   c.s("name", spec.name);
   c.d("mu_bps", spec.mu_bps);
   emit_link(c, "link", spec.link);
@@ -281,7 +272,6 @@ std::string canonical_spec(const ScenarioSpec& spec) {
   c.i64("duration", spec.duration);
   c.u64("seed", spec.seed);
   c.b("log_copa_mode", spec.log_copa_mode);
-  c.i64("copa_poll_interval", spec.copa_poll_interval);
   return c.take();
 }
 

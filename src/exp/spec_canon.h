@@ -81,10 +81,10 @@ inline constexpr std::size_t kCanonSizeofImpairmentSpec = 240;
 inline constexpr std::size_t kCanonSizeofNimbusConfig = 64;
 inline constexpr std::size_t kCanonSizeofFlowSizeBand = 24;
 inline constexpr std::size_t kCanonSizeofFlowSizeDist = 56;
-inline constexpr std::size_t kCanonSizeofWorkloadConfig = 144;
-inline constexpr std::size_t kCanonSizeofLinkSpec = 144;
+inline constexpr std::size_t kCanonSizeofWorkloadConfig = 104;
+inline constexpr std::size_t kCanonSizeofLinkSpec = 104;
 inline constexpr std::size_t kCanonSizeofCrossSpec = 160;
 inline constexpr std::size_t kCanonSizeofProtagonistSpec = 144;
-inline constexpr std::size_t kCanonSizeofScenarioSpec = 856;
+inline constexpr std::size_t kCanonSizeofScenarioSpec = 768;
 
 }  // namespace nimbus::exp

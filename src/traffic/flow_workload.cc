@@ -5,6 +5,16 @@
 
 namespace nimbus::traffic {
 
+namespace {
+
+// Propagation RTT of every workload flow.
+constexpr TimeNs kFlowRtt = from_ms(50);
+// Flows larger than this many packets are "elastic" for ground truth (the
+// paper: flows larger than the initial window of 10 packets).
+constexpr std::int64_t kElasticThresholdPkts = 10;
+
+}  // namespace
+
 FlowWorkload::FlowWorkload(sim::Network* net, Config cfg)
     : net_(net), cfg_(std::move(cfg)), rng_(cfg_.seed) {
   NIMBUS_CHECK(net_ != nullptr);
@@ -16,13 +26,11 @@ FlowWorkload::FlowWorkload(sim::Network* net, Config cfg)
       cfg_.offered_load_fraction * net_->link_rate_bps() / 8.0;
   mean_interarrival_sec_ = cfg_.dist.mean_bytes() / load_Bps;
 
-  net_->loop().schedule(std::max(cfg_.start_time, net_->loop().now()),
+  net_->loop().schedule(net_->loop().now(),
                         [this]() { schedule_next_arrival(); });
 }
 
 void FlowWorkload::schedule_next_arrival() {
-  const TimeNs now = net_->loop().now();
-  if (now >= cfg_.stop_time) return;
   spawn_flow(cfg_.dist.sample(rng_));
   const TimeNs gap = from_sec(rng_.exponential(mean_interarrival_sec_));
   net_->loop().schedule_in(gap, [this]() { schedule_next_arrival(); });
@@ -31,8 +39,7 @@ void FlowWorkload::schedule_next_arrival() {
 void FlowWorkload::spawn_flow(std::int64_t size_bytes) {
   sim::TransportFlow::Config fc;
   fc.id = net_->next_flow_id();
-  fc.mss = cfg_.mss;
-  fc.rtt_prop = cfg_.rtt_prop;
+  fc.rtt_prop = kFlowRtt;
   fc.start_time = net_->loop().now();
   fc.app_bytes = size_bytes;
   fc.seed = rng_.next_u64();
@@ -42,9 +49,7 @@ void FlowWorkload::spawn_flow(std::int64_t size_bytes) {
   a.id = fc.id;
   a.start = fc.start_time;
   a.size_bytes = size_bytes;
-  a.elastic = size_bytes >
-              static_cast<std::int64_t>(cfg_.elastic_threshold_pkts) *
-                  cfg_.mss;
+  a.elastic = size_bytes > kElasticThresholdPkts * fc.mss;
   arrivals_.push_back(a);
 }
 

@@ -24,25 +24,20 @@ class FlowWorkload {
  public:
   using CcFactory = std::function<std::unique_ptr<sim::CcAlgorithm>()>;
 
+  /// Arrivals start when the workload is installed and run for the rest
+  /// of the simulation; every flow has a 50 ms propagation RTT.
   struct Config {
     double offered_load_fraction = 0.5;  // of the bottleneck link rate
     FlowSizeDist dist = FlowSizeDist::wan();
-    TimeNs rtt_prop = from_ms(50);
-    TimeNs start_time = 0;
-    TimeNs stop_time = std::numeric_limits<TimeNs>::max();
     std::uint64_t seed = 1234;
-    std::uint32_t mss = 1500;
     CcFactory cc_factory;  // default: Cubic
-    /// Flows at least this many packets are "elastic" for ground truth
-    /// (the paper: flows larger than the initial window of 10 packets).
-    std::uint32_t elastic_threshold_pkts = 10;
   };
 
   struct Arrival {
     sim::FlowId id;
     TimeNs start;
     std::int64_t size_bytes;
-    bool elastic;  // size exceeds the elastic threshold
+    bool elastic;  // larger than the 10-packet initial window
   };
 
   /// Installs the workload on `net`; arrivals are scheduled lazily (each

@@ -91,12 +91,12 @@ TEST(SpecCanonTest, CanonicalTextNamesEveryTopLevelField) {
   // scenario.h, so a same-size swap there would otherwise go unseen.
   const std::string text = canonical_spec(small_spec(7));
   for (const char* key :
-       {"scenario-canon/v3", "name=", "mu_bps=", "rtt=", "buffer_bdp=",
+       {"scenario-canon/v4", "name=", "mu_bps=", "rtt=", "buffer_bdp=",
         "buffer_bytes=", "queue=", "pie_target_delay=", "random_loss=",
         "random_loss_seed=", "policer.", "impairment.forward.",
         "impairment.reverse.", "protagonist.", "cross[0].",
         "cross[1].", "workload_enabled=", "duration=", "seed=",
-        "log_copa_mode=", "copa_poll_interval=", "link.",
+        "log_copa_mode=", "link.",
         "nimbus.known_mu_bps=", "nimbus.pulse_amplitude_frac=",
         "nimbus.fp_competitive_hz=", "nimbus.fp_delay_hz=",
         "nimbus.sample_rate_hz=", "nimbus.fft_duration_sec=",
@@ -121,11 +121,11 @@ TEST(SpecCanonTest, HashIsStableAcrossCallsAndProcesses) {
   const Hash128 small = spec_hash(small_spec(7));
   EXPECT_EQ(small.hex(), spec_hash(small_spec(7)).hex());
   EXPECT_NE(def.hex(), small.hex());
-  // Re-pinned for scenario-canon/v3: the Nimbus::Config fields that became
-  // algorithm constants (and the nested BasicDelay parameters) are no
-  // longer part of the spec, so the canonical text lost their lines.
-  EXPECT_EQ(def.hex(), "26682a79dfb80f2c0bc64f7e3b85aefe");
-  EXPECT_EQ(small.hex(), "deb640630725ff6a835f3b5396a0a573");
+  // Re-pinned for scenario-canon/v4: the link, workload and Copa-poll
+  // fields no experiment set became constants, so the canonical text lost
+  // their lines (v3 had dropped the Nimbus::Config algorithm constants).
+  EXPECT_EQ(def.hex(), "24c1350a8b50dfd89ecc6ab7660add50");
+  EXPECT_EQ(small.hex(), "b8223eac85791356f9744ee48f006ac9");
 }
 
 TEST(SpecCanonTest, EveryFieldChangePerturbsTheHash) {

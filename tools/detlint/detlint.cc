@@ -68,6 +68,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <set>
@@ -945,7 +946,8 @@ int main(int argc, char** argv) {
   std::size_t suppressed = 0;
   const FileScan* spec_scan = nullptr;
   const FileScan* canon_scan = nullptr;
-  std::vector<FileScan*> keep_alive;
+  // Owns every scan; a deque keeps the pointers handed out stable.
+  std::deque<FileScan> scans;
 
   auto scan_one = [&](const std::string& path) -> FileScan* {
     std::string content;
@@ -953,12 +955,11 @@ int main(int argc, char** argv) {
       findings.push_back({path, 0, "io", "cannot read file"});
       return nullptr;
     }
-    auto* scan = new FileScan;
+    FileScan* scan = &scans.emplace_back();
     scan->rel = path.size() > root_strip && root_strip > 0
                     ? path.substr(root_strip)
                     : path;
     lex_file(content, *scan);
-    keep_alive.push_back(scan);
     return scan;
   };
 
@@ -1004,20 +1005,18 @@ int main(int argc, char** argv) {
   if (spec_scan == nullptr && !r6_spec.empty()) {
     std::string content;
     if (read_file(r6_spec, &content)) {
-      auto* scan = new FileScan;
+      FileScan* scan = &scans.emplace_back();
       scan->rel = r6_spec;
       lex_file(content, *scan);
-      keep_alive.push_back(scan);
       spec_scan = scan;
     }
   }
   if (canon_scan == nullptr && !r6_canon.empty()) {
     std::string content;
     if (read_file(r6_canon, &content)) {
-      auto* scan = new FileScan;
+      FileScan* scan = &scans.emplace_back();
       scan->rel = r6_canon;
       lex_file(content, *scan);
-      keep_alive.push_back(scan);
       canon_scan = scan;
     }
   }
