@@ -4,8 +4,9 @@
 //
 // Declarative form: one ScenarioSpec per cross kind; the spectrum is read
 // off the protagonist Nimbus's detector while the worker still owns the
-// network.
+// network, and scored with the detector's own Eq. 3 band scan.
 #include "common.h"
+#include "core/elasticity.h"
 
 using namespace nimbus;
 using namespace nimbus::bench;
@@ -46,6 +47,16 @@ spectral::Spectrum spectrum_of(const exp::CellResult& r) {
   return s;
 }
 
+// Eq. 3 at the 5 Hz pulse over the full spectrum's magnitudes.
+double eta_of(const spectral::Spectrum& s) {
+  core::DetectorConfig cfg;
+  cfg.sample_rate_hz = s.sample_rate_hz;
+  const std::size_t n = (s.bins() - 1) * 2;
+  return core::evaluate_band(cfg, n, 5.0, [&s](std::size_t k) {
+           return s.magnitude[k];
+         }).eta;
+}
+
 }  // namespace
 
 int main() {
@@ -66,8 +77,8 @@ int main() {
     row("fig05", "inelastic", {inelastic.frequency(k),
                                inelastic.magnitude[k] / 1e6});
   }
-  const double eta_e = spectral::elasticity_eta(elastic, 5.0);
-  const double eta_i = spectral::elasticity_eta(inelastic, 5.0);
+  const double eta_e = eta_of(elastic);
+  const double eta_i = eta_of(inelastic);
   row("fig05", "summary_eta", {eta_e, eta_i});
   shape_check("fig05", eta_e >= 2.0 && eta_i < 2.0,
               "pronounced f_p peak only for elastic cross traffic");

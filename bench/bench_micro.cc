@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the primitives on the simulator's
-// and detector's hot paths: FFT (radix-2 and Bluestein), Goertzel, the
-// elasticity evaluation, the event loop, the ACK-path rate sampler, the
-// delivery ByteCounter, queue disciplines, sweep-cell caching, and
-// end-to-end scenario throughput.  All report items/sec:
+// and detector's hot paths: the per-report spectral detector path, the
+// event loop, the ACK-path rate sampler, the delivery ByteCounter,
+// sweep-cell caching, and end-to-end scenario throughput — exactly the
+// set scripts/bench_report.sh runs.  All report items/sec:
 //   *EventLoop*/*Timer* benches -> events processed (or scheduled) per second
 //   *SimulatedSecond* benches   -> simulated seconds per wall second
 //   AckPath/Delivery benches    -> ACK (or delivery) operations per second
@@ -31,59 +31,11 @@
 #include "sim/event_loop.h"
 #include "sim/network.h"
 #include "sim/rate_sampler.h"
-#include "spectral/fft.h"
-#include "spectral/goertzel.h"
 #include "util/rng.h"
 #include "util/timeseries.h"
 
 namespace nimbus {
 namespace {
-
-std::vector<double> random_signal(std::size_t n) {
-  util::Rng rng(5);
-  std::vector<double> v(n);
-  for (auto& x : v) x = rng.uniform(-1, 1);
-  return v;
-}
-
-void BM_FftRadix2(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<spectral::Complex> data(n);
-  util::Rng rng(7);
-  for (auto& c : data) c = {rng.uniform(-1, 1), 0.0};
-  for (auto _ : state) {
-    auto copy = data;
-    spectral::fft_radix2(copy);
-    benchmark::DoNotOptimize(copy);
-  }
-}
-BENCHMARK(BM_FftRadix2)->Arg(256)->Arg(512)->Arg(4096);
-
-void BM_FftBluestein500(benchmark::State& state) {
-  const auto sig = random_signal(500);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spectral::magnitude_spectrum(sig));
-  }
-}
-BENCHMARK(BM_FftBluestein500);
-
-void BM_Goertzel500(benchmark::State& state) {
-  const auto sig = random_signal(500);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spectral::goertzel_magnitude(sig, 25));
-  }
-}
-BENCHMARK(BM_Goertzel500);
-
-void BM_ElasticityEvaluate(benchmark::State& state) {
-  core::ElasticityDetector det;
-  util::Rng rng(3);
-  for (int i = 0; i < 500; ++i) det.add_sample(rng.uniform(0, 1e8));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(det.evaluate(5.0));
-  }
-}
-BENCHMARK(BM_ElasticityEvaluate);
 
 // --- per-report spectral path: sliding-DFT engine vs recompute ----------
 
@@ -426,19 +378,6 @@ void BM_SweepCellColdCompute(benchmark::State& state) {
                           static_cast<std::int64_t>(specs.size()));
 }
 BENCHMARK(BM_SweepCellColdCompute)->Unit(benchmark::kMillisecond);
-
-// --- queue disc ---------------------------------------------------------
-
-void BM_DropTailEnqueueDequeue(benchmark::State& state) {
-  sim::DropTailQueue q(1 << 24);
-  sim::Packet p;
-  p.size_bytes = 1500;
-  for (auto _ : state) {
-    q.enqueue(p, 0);
-    benchmark::DoNotOptimize(q.dequeue(0));
-  }
-}
-BENCHMARK(BM_DropTailEnqueueDequeue);
 
 // --- end-to-end scenario throughput -------------------------------------
 

@@ -70,11 +70,12 @@ inline std::size_t detector_window_samples(const DetectorConfig& cfg) {
 }
 
 /// Eq. (3) band scan over any per-bin magnitude source `mag(k)` of an
-/// n-point window.  The production engine (mag = O(1) sliding-DFT band
-/// lookup) and the test oracle (mag = Goertzel over the windowed snapshot)
-/// share this scan verbatim — loop bounds, tolerance tests, tie-breaking
-/// by max — so the two can only differ in per-bin floating-point error,
-/// never in which bins they consider.
+/// n-point window — the one Eq. 3 in the tree.  The production engine
+/// (mag = O(1) sliding-DFT band lookup), the test oracle (mag = Goertzel
+/// over the windowed snapshot) and Fig. 5's score of full_spectrum() (mag
+/// = its FFT magnitudes) share this scan verbatim — loop bounds, tolerance
+/// tests, tie-breaking by max — so they can only differ in per-bin
+/// floating-point error, never in which bins they consider.
 template <typename MagFn>
 DetectorResult evaluate_band(const DetectorConfig& cfg, std::size_t n,
                              double f_pulse_hz, MagFn&& mag) {

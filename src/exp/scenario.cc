@@ -325,19 +325,11 @@ std::unique_ptr<sim::RateSchedule> make_link_schedule(
           // derived streams (no historical output to preserve — 97 is
           // just this subsystem's legacy constant).
           flow_seed(spec.seed, /*legacy=*/97));
-    case LinkSpec::Kind::kTrace: {
-      sim::RateSchedule::TraceConfig cfg;
-      cfg.bucket = l.trace_bucket;
-      return sim::RateSchedule::from_trace_file(l.trace_path, cfg);
-    }
+    case LinkSpec::Kind::kTrace:
+      return sim::RateSchedule::from_trace_file(l.trace_path, l.trace_bucket);
   }
   NIMBUS_CHECK_MSG(false, "unreachable: unknown LinkSpec kind");
   return nullptr;
-}
-
-double mu_at(const ScenarioSpec& spec, TimeNs t) {
-  if (spec.link.kind == LinkSpec::Kind::kConstant) return spec.mu_bps;
-  return make_link_schedule(spec)->rate_at(t);
 }
 
 double trace_mean_rate_bps(const std::string& path) {

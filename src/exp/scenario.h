@@ -155,10 +155,10 @@ struct LinkSpec {
   TimeNs step_interval = from_ms(200);
   double step_frac = 0.05;   // per-step max move, fraction of mu_bps
 
-  // kTrace: Mahimahi .trace file (ms-granularity delivery opportunities;
-  // the other sim::TraceScheduleConfig knobs keep their defaults).
+  // kTrace: Mahimahi .trace file (ms-granularity delivery opportunities of
+  // 1504 B each), bucketed into trace_bucket-wide constant-rate windows.
   std::string trace_path;
-  TimeNs trace_bucket = from_ms(10);
+  TimeNs trace_bucket = sim::RateSchedule::kDefaultTraceBucket;
 
   static LinkSpec constant() { return {}; }
   static LinkSpec make_steps(std::vector<sim::RateStep> s);
@@ -258,12 +258,7 @@ BuiltScenario build_network(const ScenarioSpec& spec);
 /// trajectory after the run.
 std::unique_ptr<sim::RateSchedule> make_link_schedule(const ScenarioSpec& spec);
 
-/// µ at time t under the spec's link schedule.  Convenience for one-off
-/// queries; sweeps should hold a make_link_schedule result and call
-/// rate_at directly (trace/walk construction is not free).
-double mu_at(const ScenarioSpec& spec, TimeNs t);
-
-/// Mean rate of a Mahimahi trace under the default trace config — the
+/// Mean rate of a Mahimahi trace at the default trace bucket — the
 /// value to put in ScenarioSpec::mu_bps for kTrace scenarios so buffers and
 /// known-µ are sized off the trace's actual average capacity.
 double trace_mean_rate_bps(const std::string& path);

@@ -11,15 +11,16 @@ namespace nimbus::exp {
 
 struct FlowSummary {
   double mean_rate_mbps = 0.0;
-  double mean_rtt_ms = 0.0;
-  double median_rtt_ms = 0.0;
-  double p95_rtt_ms = 0.0;
+  double mean_rtt_ms = 0.0;            // tracked flows only
+  double median_rtt_ms = 0.0;          // tracked flows only
+  double p95_rtt_ms = 0.0;             // tracked flows only
   double mean_queue_delay_ms = 0.0;   // tracked flows only
   double median_queue_delay_ms = 0.0; // tracked flows only
 };
 
-/// Summarizes flow `id` over [t0, t1) from the recorder's byte counters,
-/// RTT samples, and (if tracked) per-packet queueing delays.
+/// Summarizes flow `id` over [t0, t1) from the recorder's byte counters
+/// and, if the flow is tracked, its RTT samples and per-packet queueing
+/// delays (untracked flows report 0 for both).
 FlowSummary summarize_flow(const sim::Recorder& rec, sim::FlowId id,
                            TimeNs t0, TimeNs t1);
 

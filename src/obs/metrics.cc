@@ -24,7 +24,6 @@ std::size_t find_name(const std::vector<std::string>& names,
 
 MetricsRegistry::MetricsRegistry() {
   std::memset(counters_, 0, sizeof(counters_));
-  std::memset(gauges_, 0, sizeof(gauges_));
   std::memset(hist_buckets_, 0, sizeof(hist_buckets_));
 }
 
@@ -35,15 +34,6 @@ Counter MetricsRegistry::counter(const std::string& name) {
     counter_names_.push_back(name);
   }
   return Counter{&counters_[i]};
-}
-
-Gauge MetricsRegistry::gauge(const std::string& name) {
-  std::size_t i = find_name(gauge_names_, name);
-  if (i == gauge_names_.size()) {
-    if (i >= kMaxGauges) slots_exhausted("gauge");
-    gauge_names_.push_back(name);
-  }
-  return Gauge{&gauges_[i]};
 }
 
 Histogram MetricsRegistry::histogram(const std::string& name) {
@@ -57,13 +47,9 @@ Histogram MetricsRegistry::histogram(const std::string& name) {
 
 std::vector<std::pair<std::string, double>> MetricsRegistry::snapshot() const {
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(counter_names_.size() + gauge_names_.size() +
-              histogram_names_.size() * 4);
+  out.reserve(counter_names_.size() + histogram_names_.size() * 4);
   for (std::size_t i = 0; i < counter_names_.size(); ++i) {
     out.emplace_back(counter_names_[i], static_cast<double>(counters_[i]));
-  }
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    out.emplace_back(gauge_names_[i], gauges_[i]);
   }
   for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
     const std::uint64_t* b = &hist_buckets_[i * Histogram::kBuckets];

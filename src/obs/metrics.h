@@ -34,15 +34,6 @@ struct Counter {
   bool active() const { return v != nullptr; }
 };
 
-/// Last-write-wins instantaneous value.
-struct Gauge {
-  double* v = nullptr;
-  void set(double x) const {
-    if (v != nullptr) *v = x;
-  }
-  bool active() const { return v != nullptr; }
-};
-
 /// log2-bucketed histogram over unsigned values: bucket k counts samples
 /// with bit_width(x) == k (bucket 0 is exactly x == 0), so bucket k >= 1
 /// spans [2^(k-1), 2^k).  64 fixed buckets cover the whole uint64 range.
@@ -72,7 +63,6 @@ struct Histogram {
 class MetricsRegistry {
  public:
   static constexpr std::size_t kMaxCounters = 64;
-  static constexpr std::size_t kMaxGauges = 16;
   static constexpr std::size_t kMaxHistograms = 8;
 
   MetricsRegistry();
@@ -81,21 +71,18 @@ class MetricsRegistry {
   /// same name twice returns the same slot, so e.g. every TransportFlow
   /// in a scenario shares one "transport.acks" counter.
   Counter counter(const std::string& name);
-  Gauge gauge(const std::string& name);
   Histogram histogram(const std::string& name);
 
   /// Flat (name, value) snapshot for roll-ups and the sweep manifest:
-  /// counters and gauges by name, histograms flattened to
+  /// counters by name, histograms flattened to
   /// "<name>.p2_<k>" entries for non-empty buckets plus "<name>.count".
   /// Deterministic order: registration order, buckets ascending.
   std::vector<std::pair<std::string, double>> snapshot() const;
 
  private:
   std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
   std::vector<std::string> histogram_names_;
   std::uint64_t counters_[kMaxCounters];
-  double gauges_[kMaxGauges];
   std::uint64_t hist_buckets_[kMaxHistograms * Histogram::kBuckets];
 };
 

@@ -145,18 +145,32 @@ class RandomWalkSchedule final : public RateSchedule {
   mutable std::vector<double> rates_;
 };
 
+/// Bytes one trace delivery opportunity carries (Mahimahi's default MTU).
+constexpr std::int64_t kTraceBytesPerOpportunity = 1504;
+
 class TraceSchedule final : public RateSchedule {
  public:
   TraceSchedule(const std::vector<std::int64_t>& opportunities_ms,
-                const RateSchedule::TraceConfig& cfg,
-                const std::string& origin)
-      : bucket_(cfg.bucket) {
+                TimeNs bucket, const std::string& origin)
+      : bucket_(bucket) {
     NIMBUS_CHECK_MSG(!opportunities_ms.empty(),
                      ("empty trace: " + origin).c_str());
-    NIMBUS_CHECK_MSG(cfg.bucket > 0 && cfg.bytes_per_opportunity > 0 &&
-                         cfg.scale > 0,
-                     "trace config: bucket, opportunity bytes, and scale "
-                     "must be > 0");
+    NIMBUS_CHECK_MSG(bucket_ > 0, "trace bucket must be > 0");
+    // Validate before any ms -> ns multiply: a timestamp past what TimeNs
+    // holds (with room to round the period up to a whole bucket) would
+    // overflow, which is undefined behaviour.
+    const std::int64_t max_ms =
+        (std::numeric_limits<TimeNs>::max() - bucket_) / kNanosPerMs;
+    std::int64_t prev = 0;
+    for (std::int64_t ms : opportunities_ms) {
+      NIMBUS_CHECK_MSG(ms >= prev,
+                       ("trace timestamps must be non-decreasing: " + origin)
+                           .c_str());
+      NIMBUS_CHECK_MSG(ms <= max_ms,
+                       ("trace timestamp too large for the simulator "
+                        "clock: " + origin).c_str());
+      prev = ms;
+    }
     const std::int64_t last_ms = opportunities_ms.back();
     NIMBUS_CHECK_MSG(last_ms > 0,
                      ("trace looping period is zero (last timestamp must "
@@ -169,28 +183,21 @@ class TraceSchedule final : public RateSchedule {
     period_ = ((last + bucket_ - 1) / bucket_) * bucket_;
     std::vector<std::int64_t> counts(
         static_cast<std::size_t>(period_ / bucket_), 0);
-    std::int64_t prev = 0;
     for (std::int64_t ms : opportunities_ms) {
-      NIMBUS_CHECK_MSG(ms >= prev,
-                       ("trace timestamps must be non-decreasing: " + origin)
-                           .c_str());
-      prev = ms;
       const TimeNs t = (ms * kNanosPerMs) % period_;
       counts[static_cast<std::size_t>(t / bucket_)]++;
     }
-    const double opp_bits = static_cast<double>(cfg.bytes_per_opportunity) * 8.0;
+    const double opp_bits =
+        static_cast<double>(kTraceBytesPerOpportunity) * 8.0;
     const double bucket_sec = to_sec(bucket_);
     // Floor: one opportunity per bucket, so a trace outage slows the link
     // to ~1 MTU per bucket instead of dividing by zero / stalling.
-    const double floor_bps = cfg.min_rate_bps > 0.0
-                                 ? cfg.min_rate_bps
-                                 : opp_bits / bucket_sec;
+    const double floor_bps = opp_bits / bucket_sec;
     double sum = 0.0;
     rates_.reserve(counts.size());
     for (std::int64_t c : counts) {
       const double r = std::max(
-          static_cast<double>(c) * opp_bits / bucket_sec * cfg.scale,
-          floor_bps);
+          static_cast<double>(c) * opp_bits / bucket_sec, floor_bps);
       rates_.push_back(r);
       sum += r;
     }
@@ -243,14 +250,14 @@ std::unique_ptr<RateSchedule> RateSchedule::random_walk(
 }
 
 std::unique_ptr<RateSchedule> RateSchedule::from_trace_ms(
-    const std::vector<std::int64_t>& opportunities_ms, const TraceConfig& cfg,
+    const std::vector<std::int64_t>& opportunities_ms, TimeNs bucket,
     const std::string& origin) {
-  return std::make_unique<TraceSchedule>(opportunities_ms, cfg, origin);
+  return std::make_unique<TraceSchedule>(opportunities_ms, bucket, origin);
 }
 
 std::unique_ptr<RateSchedule> RateSchedule::from_trace_file(
-    const std::string& path, const TraceConfig& cfg) {
-  return from_trace_ms(parse_trace_file(path), cfg, path);
+    const std::string& path, TimeNs bucket) {
+  return from_trace_ms(parse_trace_file(path), bucket, path);
 }
 
 std::vector<std::int64_t> parse_trace_file(const std::string& path) {
@@ -303,16 +310,6 @@ std::vector<std::int64_t> parse_trace_file(const std::string& path) {
   }
   NIMBUS_CHECK_MSG(!out.empty(), ("empty trace: " + path).c_str());
   return out;
-}
-
-void write_trace_file(const std::string& path,
-                      const std::vector<std::int64_t>& opportunities_ms) {
-  std::ofstream out(path);
-  NIMBUS_CHECK_MSG(out.good(),
-                   ("cannot write trace file: " + path).c_str());
-  for (std::int64_t ms : opportunities_ms) out << ms << "\n";
-  NIMBUS_CHECK_MSG(out.good(),
-                   ("short write to trace file: " + path).c_str());
 }
 
 }  // namespace nimbus::sim

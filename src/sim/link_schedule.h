@@ -23,11 +23,12 @@
 //                     rate_at() is random access yet deterministic.
 //   * trace         — a Mahimahi-format packet-delivery trace (one integer
 //                     millisecond timestamp per line; each line is one
-//                     delivery opportunity of `bytes_per_opportunity`
-//                     bytes; the final timestamp is the looping period).
-//                     Opportunities are bucketed into `bucket`-wide windows
-//                     and each window becomes one piecewise-constant rate,
-//                     floored at `min_rate_bps` so outages never stall the
+//                     delivery opportunity of 1504 bytes, Mahimahi's
+//                     default MTU; the final timestamp is the looping
+//                     period).  Opportunities are bucketed into
+//                     `bucket`-wide windows and each window becomes one
+//                     piecewise-constant rate, floored at one opportunity
+//                     per bucket so outages never stall the
 //                     work-conserving link forever (a deliberate deviation
 //                     from Mahimahi, which can park packets indefinitely).
 //
@@ -54,25 +55,14 @@ struct RateStep {
   double rate_bps = 0.0;
 };
 
-/// Conversion knobs for Mahimahi packet-delivery traces (namespace scope —
-/// a nested struct's member initializers cannot feed a default argument of
-/// the enclosing class; aliased as RateSchedule::TraceConfig).
-struct TraceScheduleConfig {
-  /// Bytes one delivery opportunity carries (Mahimahi's default MTU).
-  std::int64_t bytes_per_opportunity = 1504;
-  /// Smoothing window: opportunities per bucket become one rate.
-  TimeNs bucket = from_ms(10);
-  /// Rate floor; 0 means "one opportunity per bucket" so trace outages
-  /// slow the link to a crawl instead of stalling it.
-  double min_rate_bps = 0.0;
-  /// Multiplies every bucket rate (scale a trace to a target mean).
-  double scale = 1.0;
-};
-
 class RateSchedule {
  public:
   /// Sentinel for "the rate never changes again".
   static constexpr TimeNs kNoChange = std::numeric_limits<TimeNs>::max();
+
+  /// Default trace smoothing window: the opportunities in each bucket
+  /// become one rate.
+  static constexpr TimeNs kDefaultTraceBucket = from_ms(10);
 
   virtual ~RateSchedule() = default;
 
@@ -120,19 +110,18 @@ class RateSchedule {
                                                    double step_frac,
                                                    std::uint64_t seed);
 
-  using TraceConfig = TraceScheduleConfig;
-
   /// Loads a Mahimahi .trace file (see the header comment for the format
   /// and bucketing semantics).  CHECK-fails on unreadable files, malformed
-  /// lines, decreasing timestamps, or an empty/zero-length trace.
+  /// lines, decreasing timestamps, a timestamp too large for TimeNs, or an
+  /// empty/zero-length trace.
   static std::unique_ptr<RateSchedule> from_trace_file(
-      const std::string& path, const TraceConfig& cfg = TraceConfig());
+      const std::string& path, TimeNs bucket = kDefaultTraceBucket);
 
   /// Same, from already-parsed opportunity timestamps (milliseconds).
   /// `origin` names the source in error messages.
   static std::unique_ptr<RateSchedule> from_trace_ms(
       const std::vector<std::int64_t>& opportunities_ms,
-      const TraceConfig& cfg = TraceConfig(),
+      TimeNs bucket = kDefaultTraceBucket,
       const std::string& origin = "<memory>");
 };
 
@@ -140,10 +129,5 @@ class RateSchedule {
 /// Skips blank lines and '#' comments; CHECK-fails on anything else that
 /// is not a non-negative integer, or if timestamps decrease.
 std::vector<std::int64_t> parse_trace_file(const std::string& path);
-
-/// Writes opportunity timestamps in Mahimahi format (one ms per line) —
-/// the inverse of parse_trace_file, used by tests and trace generators.
-void write_trace_file(const std::string& path,
-                      const std::vector<std::int64_t>& opportunities_ms);
 
 }  // namespace nimbus::sim

@@ -37,12 +37,15 @@ TransportFlow* Network::add_flow(TransportFlow::Config cfg,
   TransportFlow* raw = flow.get();
   if (ack_impairment_ != nullptr) raw->set_ack_impairment(ack_impairment_.get());
   raw->set_obs(transport_obs_);  // FlowWorkload adds flows mid-run, too
-  // Direct pointer into the recorder's stable per-flow series: the per-ACK
-  // hot path records an RTT sample without any id lookup.
-  util::TimeSeries* rtt_series = recorder_.rtt_series(cfg.id);
-  raw->set_rtt_sample_handler([rtt_series](FlowId, TimeNs t, TimeNs rtt) {
-    rtt_series->add(t, to_ms(rtt));
-  });
+  // Only tracked flows' RTTs are ever read.  Direct pointer into the
+  // recorder's stable per-flow series: the per-ACK hot path records an RTT
+  // sample without any id lookup.
+  if (recorder_.is_tracked(cfg.id)) {
+    util::TimeSeries* rtt_series = recorder_.rtt_series(cfg.id);
+    raw->set_rtt_sample_handler([rtt_series](FlowId, TimeNs t, TimeNs rtt) {
+      rtt_series->add(t, to_ms(rtt));
+    });
+  }
   raw->set_completion_handler([this, raw](FlowId id, TimeNs when, TimeNs fct) {
     recorder_.on_completion(id, when, fct, raw->config().app_bytes);
   });

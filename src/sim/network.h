@@ -47,7 +47,8 @@ class Network {
   double link_rate_bps() const { return link_->rate_bps(); }
 
   /// Creates a transport flow (assigns an id if cfg.id == 0), wires it to
-  /// the recorder, and schedules its start.
+  /// the recorder (per-ACK RTTs only if the recorder already tracks the
+  /// id), and schedules its start.
   TransportFlow* add_flow(TransportFlow::Config cfg,
                           std::unique_ptr<CcAlgorithm> cc);
 

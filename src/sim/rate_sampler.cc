@@ -30,7 +30,7 @@ void RateSampler::on_ack(TimeNs sent_at, TimeNs acked_at,
 RateSampler::Rates RateSampler::rates(std::size_t n_packets) const {
   Rates out;
   n_packets = std::min(n_packets, history_size());
-  if (n_packets < std::max<std::size_t>(2, min_packets_)) return out;
+  if (n_packets < kMinPackets) return out;
 
   // Eq. (2): n_bytes spans the n-1 inter-packet gaps between the first and
   // last sample of the window, so it sums the bytes of packets after the

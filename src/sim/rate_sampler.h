@@ -39,7 +39,7 @@ class RateSampler {
   void on_ack(TimeNs sent_at, TimeNs acked_at, std::uint32_t bytes);
 
   /// Rates over the most recent `n_packets` acked packets (clamped to what
-  /// is available; invalid until at least `min_packets` have been seen).
+  /// is available; invalid until at least kMinPackets have been seen).
   Rates rates(std::size_t n_packets) const;
 
   /// Convenience: rates over roughly one window (cwnd_bytes / mss packets).
@@ -49,9 +49,10 @@ class RateSampler {
     return next_ < max_history_ ? static_cast<std::size_t>(next_)
                                 : max_history_;
   }
-  void set_min_packets(std::size_t n) { min_packets_ = n; }
 
  private:
+  static constexpr std::size_t kMinPackets = 5;
+
   struct Sample {
     TimeNs sent_at;
     TimeNs acked_at;
@@ -65,7 +66,6 @@ class RateSampler {
   std::uint64_t next_ = 0;  // global index of the next sample
   std::uint64_t cum_bytes_ = 0;
   std::size_t max_history_ = 16384;
-  std::size_t min_packets_ = 5;
 };
 
 }  // namespace nimbus::sim

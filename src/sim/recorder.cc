@@ -58,17 +58,12 @@ void Recorder::on_delivery(const Packet& p, TimeNs dequeue_done) {
 void Recorder::on_drop(const Packet& p) {
   if (p.flow_id >= delivered_.size()) ensure_flow(p.flow_id);
   ++drops_[p.flow_id];
-  ++total_drops_;
 }
 
 util::TimeSeries* Recorder::rtt_series(FlowId id) {
   if (id >= rtt_.size()) rtt_.resize(id + 1);
   if (!rtt_[id]) rtt_[id] = std::make_unique<util::TimeSeries>();
   return rtt_[id].get();
-}
-
-void Recorder::on_rtt_sample(FlowId id, TimeNs now, TimeNs rtt) {
-  rtt_series(id)->add(now, to_ms(rtt));
 }
 
 void Recorder::on_completion(FlowId id, TimeNs when, TimeNs fct,

@@ -1,14 +1,15 @@
-// Experiment measurement: per-flow delivered bytes, RTT samples, per-packet
-// queueing delay for tracked flows, sampled queue state, drops, and flow
-// completion times.
+// Experiment measurement: per-flow delivered bytes and drops, per-ACK RTT
+// samples and per-packet queueing delay for tracked flows, sampled queue
+// state, and flow completion times.
 //
 // Flow ids are small and dense (the Network allocates them sequentially),
 // so all per-flow state is held in flat vectors indexed by FlowId instead
 // of the PR 2-era std::map/std::set — the per-delivery and per-ACK hooks
 // are branch + array-index instead of a tree walk.  RTT series live behind
-// stable unique_ptr cells so Network can hand each TransportFlow's ACK
-// handler a direct TimeSeries pointer (rtt_series()) that survives later
-// flow registrations.
+// stable unique_ptr cells so Network can hand a tracked TransportFlow's
+// ACK handler a direct TimeSeries pointer (rtt_series()) that survives
+// later flow registrations.  Untracked flows (cross traffic, workload
+// flows) record no RTT series at all: nothing reads one.
 #pragma once
 
 #include <cstdint>
@@ -36,17 +37,20 @@ class Recorder {
   /// never reallocates).
   void expect_duration(TimeNs duration);
 
-  /// Tracked flows get per-packet queueing-delay series (others only get
-  /// byte counters, which are cheap).
+  /// Tracked flows get per-packet queueing-delay and per-ACK RTT series
+  /// (others only get byte and drop counters, which are cheap).  Track a
+  /// flow before Network::add_flow, which wires the RTT recorder.
   void track_flow(FlowId id) {
     if (id >= tracked_.size()) tracked_.resize(id + 1, 0);
     tracked_[id] = 1;
+  }
+  bool is_tracked(FlowId id) const {
+    return id < tracked_.size() && tracked_[id] != 0;
   }
 
   // --- hooks called by Network ---
   void on_delivery(const Packet& p, TimeNs dequeue_done);
   void on_drop(const Packet& p);
-  void on_rtt_sample(FlowId id, TimeNs now, TimeNs rtt);
   void on_completion(FlowId id, TimeNs when, TimeNs fct,
                      std::int64_t flow_bytes);
 
@@ -60,12 +64,11 @@ class Recorder {
   const util::ByteCounter& delivered(FlowId id) const;
   /// Per-packet queueing delay (tracked flows only).
   const util::TimeSeries& queue_delay(FlowId id) const;
-  /// RTT samples per flow (only for flows wired via rtt handler).
+  /// Per-ACK RTT samples (tracked flows only).
   const util::TimeSeries& rtt_samples(FlowId id) const;
   /// Queue delay sampled by the periodic probe (all traffic).
   const util::TimeSeries& probed_queue_delay() const { return probe_qdelay_; }
   std::uint64_t drops(FlowId id) const;
-  std::uint64_t total_drops() const { return total_drops_; }
 
   struct Completion {
     FlowId id;
@@ -78,9 +81,6 @@ class Recorder {
  private:
   void probe_tick();
   void ensure_flow(FlowId id);
-  bool is_tracked(FlowId id) const {
-    return id < tracked_.size() && tracked_[id] != 0;
-  }
 
   EventLoop* loop_ = nullptr;
   BottleneckLink* link_ = nullptr;
@@ -91,7 +91,6 @@ class Recorder {
   std::vector<std::uint64_t> drops_;
   std::vector<std::unique_ptr<util::TimeSeries>> queue_delay_;
   std::vector<std::unique_ptr<util::TimeSeries>> rtt_;
-  std::uint64_t total_drops_ = 0;
   util::TimeSeries probe_qdelay_;
   std::vector<Completion> completions_;
 };

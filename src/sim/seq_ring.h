@@ -44,11 +44,6 @@ class SeqRing {
   std::size_t size() const { return count_; }
   std::size_t capacity() const { return slots_.size(); }
 
-  bool contains(std::uint64_t seq) const {
-    const Slot& s = slots_[seq & mask_];
-    return s.occupied && s.seq == seq;
-  }
-
   T* find(std::uint64_t seq) {
     Slot& s = slots_[seq & mask_];
     return s.occupied && s.seq == seq ? &s.value : nullptr;

@@ -102,6 +102,9 @@ std::vector<Complex> fft(const std::vector<Complex>& input, bool inverse) {
   return fft_bluestein(input, inverse);
 }
 
+namespace {
+
+/// FFT of a real signal; returns the full complex spectrum (size N).
 std::vector<Complex> fft_real(const std::vector<double>& input) {
   std::vector<Complex> data(input.size());
   for (std::size_t i = 0; i < input.size(); ++i) {
@@ -109,6 +112,8 @@ std::vector<Complex> fft_real(const std::vector<double>& input) {
   }
   return fft(data, /*inverse=*/false);
 }
+
+}  // namespace
 
 std::vector<double> magnitude_spectrum(const std::vector<double>& input) {
   const auto spec = fft_real(input);

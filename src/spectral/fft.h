@@ -5,7 +5,7 @@
 // which is not a power of two.  We provide:
 //   * radix-2 iterative Cooley-Tukey for power-of-two sizes,
 //   * Bluestein's chirp-z algorithm for arbitrary sizes (used for N=500),
-//   * a real-input convenience wrapper returning the half spectrum.
+//   * the real-input half-magnitude spectrum built on them.
 //
 // All transforms are unnormalized (forward sums x[n]·e^{-2πi kn/N}); the
 // inverse divides by N so ifft(fft(x)) == x.
@@ -32,9 +32,6 @@ void fft_radix2(std::vector<Complex>& data, bool inverse = false);
 /// FFT of arbitrary size (radix-2 when possible, Bluestein otherwise).
 std::vector<Complex> fft(const std::vector<Complex>& input,
                          bool inverse = false);
-
-/// FFT of a real signal; returns the full complex spectrum (size N).
-std::vector<Complex> fft_real(const std::vector<double>& input);
 
 /// Magnitudes of the first N/2+1 bins of a real signal's spectrum,
 /// normalized by N so a unit-amplitude sinusoid at an exact bin yields

@@ -80,11 +80,6 @@ void SlidingDft::force_resync() {
   ++resyncs_;
 }
 
-Complex SlidingDft::raw_bin(std::size_t k) const {
-  NIMBUS_CHECK(k >= ilo_ && k <= ihi_);
-  return bins_[k - ilo_];
-}
-
 Complex SlidingDft::centered_bin(std::size_t k) const {
   if (k == 0 || k == n_) return Complex(0.0, 0.0);
   return bins_[k - ilo_];

@@ -67,13 +67,10 @@ class SlidingDft {
   std::size_t bin_hi() const { return hi_; }
   bool tracks(std::size_t k) const { return k >= lo_ && k <= hi_; }
 
-  /// Raw (rectangular-window, mean *not* removed) complex DFT coefficient
-  /// at bin k, unnormalized — same convention as spectral::fft.
-  Complex raw_bin(std::size_t k) const;
-
   /// |DFT| at bin k of the mean-removed, periodic-Hann-windowed window,
-  /// normalized by N — exactly what goertzel_magnitude returns on the
-  /// detector's windowed snapshot (up to floating-point error).  O(1).
+  /// normalized by N — exactly what the Goertzel reference in
+  /// tests/oracles/ returns on the detector's windowed snapshot (up to
+  /// floating-point error).  O(1).
   double hann_magnitude(std::size_t k) const;
 
   /// Full recomputes performed so far (for tests/diagnostics).

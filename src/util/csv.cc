@@ -5,52 +5,6 @@
 
 namespace nimbus::util {
 
-CsvWriter::CsvWriter(std::ostream& out, std::string prefix)
-    : out_(out), prefix_(std::move(prefix)) {}
-
-void CsvWriter::header(std::initializer_list<std::string> cols) {
-  out_ << prefix_;
-  bool first = true;
-  for (const auto& c : cols) {
-    if (!first) out_ << ',';
-    out_ << c;
-    first = false;
-  }
-  out_ << '\n';
-}
-
-void CsvWriter::row(std::initializer_list<double> values) {
-  row(std::vector<double>(values));
-}
-
-void CsvWriter::row(const std::vector<double>& values) {
-  out_ << prefix_;
-  bool first = true;
-  for (double v : values) {
-    if (!first) out_ << ',';
-    out_ << format_num(v);
-    first = false;
-  }
-  out_ << '\n';
-}
-
-void CsvWriter::row(std::initializer_list<std::string> labels,
-                    std::initializer_list<double> values) {
-  out_ << prefix_;
-  bool first = true;
-  for (const auto& l : labels) {
-    if (!first) out_ << ',';
-    out_ << l;
-    first = false;
-  }
-  for (double v : values) {
-    if (!first) out_ << ',';
-    out_ << format_num(v);
-    first = false;
-  }
-  out_ << '\n';
-}
-
 std::string format_num(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";

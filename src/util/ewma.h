@@ -1,4 +1,4 @@
-// Exponentially weighted moving averages.
+// Exponentially weighted moving average over irregularly spaced samples.
 #pragma once
 
 #include <cmath>
@@ -6,34 +6,6 @@
 #include "util/time.h"
 
 namespace nimbus::util {
-
-/// Classic per-sample EWMA: v <- (1-a)*v + a*x.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-
-  void add(double x) {
-    if (!initialized_) {
-      value_ = x;
-      initialized_ = true;
-    } else {
-      value_ = (1.0 - alpha_) * value_ + alpha_ * x;
-    }
-  }
-
-  bool initialized() const { return initialized_; }
-  double value() const { return value_; }
-  void reset() { initialized_ = false; }
-  void reset_to(double x) {
-    value_ = x;
-    initialized_ = true;
-  }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
 
 /// Time-aware EWMA acting as a single-pole low-pass filter with time
 /// constant tau: for a sample after elapsed dt, the effective alpha is

@@ -92,19 +92,6 @@ double Rng::bounded_pareto(double alpha, double lo, double hi) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  NIMBUS_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) total += w;
-  NIMBUS_CHECK(total > 0);
-  double x = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x <= 0) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::split() { return Rng(next_u64()); }
 
 }  // namespace nimbus::util

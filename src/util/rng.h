@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace nimbus::util {
 
@@ -44,9 +43,6 @@ class Rng {
 
   /// True with probability p.
   bool bernoulli(double p);
-
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
   /// Derives an independent child generator (for per-flow streams).
   Rng split();

@@ -64,21 +64,4 @@ class Percentiles {
 /// Jain's fairness index over per-flow allocations: (sum x)^2 / (n * sum x^2).
 double jain_fairness(const std::vector<double>& allocations);
 
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_[i]; }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_center(std::size_t i) const;
-  std::size_t total() const { return total_; }
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace nimbus::util

@@ -387,7 +387,8 @@ TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
     ++collects;
     const auto& rec = run.built.net->recorder();
     return CellResult::vec({static_cast<double>(rec.delivered(1).total()),
-                            static_cast<double>(rec.total_drops())});
+                            static_cast<double>(
+                                run.built.net->link().dropped_packets())});
   };
   const auto cold = run_sweep(specs, collect, nullptr, setup, rw);
   const auto warm = run_sweep(specs, collect, nullptr, setup, rw);

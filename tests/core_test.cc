@@ -240,6 +240,26 @@ TEST_F(DetectorFixture, FullSpectrumExposesPeak) {
   EXPECT_NEAR(spec.dominant_frequency(), 5.0, 0.21);
 }
 
+TEST_F(DetectorFixture, EvaluateBandOverFullSpectrumMatchesEvaluate) {
+  // There is one Eq. 3: bench_fig05 scores full_spectrum() with
+  // evaluate_band, so on the same window that must agree with the
+  // detector's own sliding-DFT evaluate() at both tracked frequencies.
+  for (double amp : {5e6, 0.0}) {  // 5 Hz-pulsed signal, then noise only
+    ElasticityDetector det;
+    fill(det, 5.0, amp, 1e6);
+    const spectral::Spectrum spec = det.full_spectrum();
+    for (double f : {5.0, 6.0}) {
+      const DetectorResult r = det.evaluate(f);
+      const DetectorResult s = evaluate_band(
+          det.config(), det.window_samples(), f,
+          [&spec](std::size_t k) { return spec.magnitude[k]; });
+      ASSERT_TRUE(r.valid);
+      EXPECT_EQ(s.band_max_bin, r.band_max_bin) << "amp " << amp << " f " << f;
+      EXPECT_NEAR(s.eta, r.eta, 1e-9 * r.eta) << "amp " << amp << " f " << f;
+    }
+  }
+}
+
 // ---------- BasicDelay rule ----------
 
 TEST(BasicDelayCoreTest, ClaimsSpareCapacity) {

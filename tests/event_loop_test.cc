@@ -429,7 +429,7 @@ TEST(EventCoreTest, GoldenScenarioBitIdenticalToSeed) {
   EXPECT_EQ(net.recorder().delivered(1).total(), 40747500);
   EXPECT_EQ(net.recorder().delivered(2).total(), 19888500);
   EXPECT_EQ(net.recorder().delivered(3).total(), 58378500);
-  EXPECT_EQ(net.recorder().total_drops(), 1339u);
+  EXPECT_EQ(net.link().dropped_packets(), 1339u);
   const auto& q = net.recorder().probed_queue_delay();
   EXPECT_EQ(q.size(), 2000u);
   EXPECT_EQ(q.mean_in(0, spec.duration).value(), 55.012256128064031);
@@ -442,6 +442,10 @@ TEST(EventCoreTest, GoldenScenarioBitIdenticalToSeed) {
   EXPECT_EQ(buckets[2], 106.46282495072045);
   EXPECT_EQ(buckets[3], 123.08527478603838);
   EXPECT_EQ(run.mode_log->series().size(), 2000u);
+  // Per-ACK RTT series are recorded for the tracked protagonist only; the
+  // untracked Cubic cross flow keeps byte counters but no RTT series.
+  EXPECT_FALSE(net.recorder().rtt_samples(1).empty());
+  EXPECT_TRUE(net.recorder().rtt_samples(3).empty());
 }
 
 // Multi-flow loss-heavy companion (ISSUE 3): random link loss plus three
@@ -471,7 +475,7 @@ TEST(EventCoreTest, GoldenLossHeavyScenarioBitIdenticalToPr2) {
   EXPECT_EQ(net.recorder().delivered(2).total(), 23115000);
   EXPECT_EQ(net.recorder().delivered(3).total(), 12406500);
   EXPECT_EQ(net.recorder().delivered(4).total(), 15246000);
-  EXPECT_EQ(net.recorder().total_drops(), 761u);
+  EXPECT_EQ(net.link().dropped_packets(), 761u);
   EXPECT_EQ(
       net.recorder().probed_queue_delay().mean_in(0, spec.duration).value(),
       7.7336168084042018);

@@ -21,9 +21,9 @@
 #include "exp/runner.h"
 #include "exp/scenario.h"
 #include "obs/flight_recorder.h"
-#include "obs/json_check.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "oracles/json_check.h"
 
 // --- counting operator-new hook (whole test binary) ---------------------
 
@@ -79,11 +79,9 @@ TEST(MetricsRegistryTest, SameNameReturnsSameSlot) {
 
 TEST(MetricsRegistryTest, NullHandlesAreInertBranches) {
   obs::Counter c;   // telemetry off: null pointer
-  obs::Gauge g;
   obs::Histogram h;
   EXPECT_FALSE(c.active());
   c.inc();          // must be safe no-ops
-  g.set(1.0);
   h.observe(42);
 }
 
@@ -113,16 +111,14 @@ TEST(MetricsRegistryTest, HistogramBucketsArePowersOfTwo) {
 TEST(MetricsRegistryTest, UpdatesDoNotAllocate) {
   obs::MetricsRegistry m;
   obs::Counter c = m.counter("c");
-  obs::Gauge g = m.gauge("g");
   obs::Histogram h = m.histogram("h");
   const std::uint64_t before = alloc_count();
   for (int i = 0; i < 100000; ++i) {
     c.inc();
-    g.set(static_cast<double>(i));
     h.observe(static_cast<std::uint64_t>(i & 1023));
   }
   EXPECT_EQ(alloc_count(), before)
-      << "counter/gauge/histogram updates must be plain array writes";
+      << "counter/histogram updates must be plain array writes";
 }
 
 // --- flight recorder ----------------------------------------------------
@@ -185,17 +181,17 @@ TEST(ChromeTraceTest, ExportIsValidJsonAndCorruptionIsRejected) {
   std::fclose(f);
   const std::string json = read_file(path);
   std::filesystem::remove(path);
-  EXPECT_TRUE(obs::json_valid(json)) << json;
+  EXPECT_TRUE(oracles::json_valid(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("detector_decision"), std::string::npos);
   EXPECT_NE(json.find("mode_switch"), std::string::npos);
   // Hand-corrupted variants must be rejected, so the CI validation step
   // is demonstrably able to fail.
-  EXPECT_FALSE(obs::json_valid(json.substr(0, json.size() / 2)));
+  EXPECT_FALSE(oracles::json_valid(json.substr(0, json.size() / 2)));
   std::string bare_nan = json;
   bare_nan.replace(bare_nan.find("2.5"), 3, "nan");
-  EXPECT_FALSE(obs::json_valid(bare_nan));
-  EXPECT_FALSE(obs::json_valid(json + "{}"));
+  EXPECT_FALSE(oracles::json_valid(bare_nan));
+  EXPECT_FALSE(oracles::json_valid(json + "{}"));
 }
 
 // --- scenario-level determinism ----------------------------------------
@@ -291,7 +287,7 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
   std::string line;
   std::size_t rows = 0;
   while (std::getline(lines, line)) {
-    EXPECT_TRUE(obs::json_valid(line)) << line;
+    EXPECT_TRUE(oracles::json_valid(line)) << line;
     ++rows;
   }
   EXPECT_EQ(rows, specs.size() + 1);

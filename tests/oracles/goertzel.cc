@@ -1,11 +1,11 @@
-#include "spectral/goertzel.h"
+#include "oracles/goertzel.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "spectral/fft.h"
 #include "util/check.h"
 
-namespace nimbus::spectral {
+namespace nimbus::oracles {
 
 double goertzel_magnitude(const std::vector<double>& signal, std::size_t k) {
   const std::size_t n = signal.size();
@@ -23,11 +23,4 @@ double goertzel_magnitude(const std::vector<double>& signal, std::size_t k) {
   return std::sqrt(std::max(0.0, power)) / static_cast<double>(n);
 }
 
-double goertzel_at_frequency(const std::vector<double>& signal, double f_hz,
-                             double sample_rate_hz) {
-  const std::size_t k =
-      frequency_bin(f_hz, signal.size(), sample_rate_hz);
-  return goertzel_magnitude(signal, k);
-}
-
-}  // namespace nimbus::spectral
+}  // namespace nimbus::oracles

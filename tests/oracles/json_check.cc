@@ -1,8 +1,8 @@
-#include "obs/json_check.h"
+#include "oracles/json_check.h"
 
 #include <cctype>
 
-namespace nimbus::obs {
+namespace nimbus::oracles {
 namespace {
 
 // Recursive-descent validator over the RFC 8259 grammar.  `p` advances
@@ -179,4 +179,4 @@ bool json_valid(const std::string& text) {
   return ps.p == ps.end;
 }
 
-}  // namespace nimbus::obs
+}  // namespace nimbus::oracles

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "spectral/goertzel.h"
+#include "oracles/goertzel.h"
 #include "spectral/window.h"
 #include "util/check.h"
 
@@ -63,7 +63,7 @@ ReferenceElasticityDetector::Result ReferenceElasticityDetector::evaluate(
   if (!ready()) return Result();
   const std::vector<double>& x = windowed_snapshot();
   return core::evaluate_band(cfg_, x.size(), f_pulse_hz, [&x](std::size_t k) {
-    return spectral::goertzel_magnitude(x, k);
+    return goertzel_magnitude(x, k);
   });
 }
 
@@ -72,7 +72,7 @@ double ReferenceElasticityDetector::magnitude_near(double f_hz) const {
   const std::vector<double>& x = windowed_snapshot();
   return core::magnitude_near_band(x.size(), cfg_.sample_rate_hz, f_hz,
                                    [&x](std::size_t k) {
-                                     return spectral::goertzel_magnitude(x, k);
+                                     return goertzel_magnitude(x, k);
                                    });
 }
 

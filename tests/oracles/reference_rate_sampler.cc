@@ -14,7 +14,7 @@ sim::RateSampler::Rates ReferenceRateSampler::rates(
     std::size_t n_packets) const {
   sim::RateSampler::Rates out;
   n_packets = std::min(n_packets, samples_.size());
-  if (n_packets < std::max<std::size_t>(2, min_packets_)) return out;
+  if (n_packets < kMinPackets) return out;
 
   const std::size_t first = samples_.size() - n_packets;
   const Sample& a = samples_[first];

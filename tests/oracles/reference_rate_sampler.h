@@ -22,7 +22,6 @@ class ReferenceRateSampler {
   sim::RateSampler::Rates rates_over_window(double cwnd_bytes,
                                             std::uint32_t mss) const;
   std::size_t history_size() const { return samples_.size(); }
-  void set_min_packets(std::size_t n) { min_packets_ = n; }
 
  private:
   struct Sample {
@@ -32,7 +31,7 @@ class ReferenceRateSampler {
   };
   std::deque<Sample> samples_;
   std::size_t max_history_ = 16384;
-  std::size_t min_packets_ = 5;
+  static constexpr std::size_t kMinPackets = 5;
 };
 
 }  // namespace nimbus::oracles

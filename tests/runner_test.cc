@@ -280,7 +280,8 @@ std::vector<double> recorder_digest(const ScenarioSpec& spec,
   for (double v : rec.probed_queue_delay().values_in(0, spec.duration)) {
     d.push_back(v);
   }
-  d.push_back(static_cast<double>(rec.total_drops()));
+  d.push_back(
+      static_cast<double>(run.built.net->link().dropped_packets()));
   if (run.mode_log != nullptr) {
     for (double v : run.mode_log->series().values()) d.push_back(v);
   }

@@ -35,7 +35,7 @@ TEST(ScenarioGoldenTest, PieQueueBottleneck) {
   const auto& rec = run.built.net->recorder();
   EXPECT_EQ(rec.delivered(1).total(), 15463500);
   EXPECT_EQ(rec.delivered(2).total(), 28768500);
-  EXPECT_EQ(rec.total_drops(), 2210u);
+  EXPECT_EQ(run.built.net->link().dropped_packets(), 2210u);
   EXPECT_DOUBLE_EQ(
       rec.probed_queue_delay().mean_in(from_sec(2), from_sec(10)).value(),
       0.88875000000000004);
@@ -52,7 +52,7 @@ TEST(ScenarioGoldenTest, RandomLossPath) {
   const exp::ScenarioRun run = exp::run_scenario(spec);
   const auto& rec = run.built.net->recorder();
   EXPECT_EQ(rec.delivered(1).total(), 1773000);
-  EXPECT_EQ(rec.total_drops(), 104u);
+  EXPECT_EQ(run.built.net->link().dropped_packets(), 104u);
 }
 
 // Policed path from the catalog (token-bucket below the line rate).
@@ -71,7 +71,7 @@ TEST(ScenarioGoldenTest, PolicedPath) {
   const exp::ScenarioRun run = exp::run_scenario(spec);
   const auto& rec = run.built.net->recorder();
   EXPECT_EQ(rec.delivered(1).total(), 38646000);
-  EXPECT_EQ(rec.total_drops(), 1497u);
+  EXPECT_EQ(run.built.net->link().dropped_packets(), 1497u);
 }
 
 // DASH video client cross traffic (the Fig. 11 configuration).

@@ -19,9 +19,9 @@
 
 #include "core/elasticity.h"
 #include "core/nimbus.h"
+#include "oracles/goertzel.h"
 #include "oracles/reference_detector.h"
 #include "sim/cc_interface.h"
-#include "spectral/goertzel.h"
 #include "spectral/sliding_dft.h"
 #include "spectral/window.h"
 #include "util/rng.h"
@@ -64,7 +64,7 @@ std::uint64_t alloc_count() {
 double reference_hann_magnitude(std::vector<double> x, std::size_t k) {
   spectral::remove_mean(x);
   spectral::apply_window(x);
-  return spectral::goertzel_magnitude(x, k);
+  return oracles::goertzel_magnitude(x, k);
 }
 
 // --- engine vs recompute equivalence ------------------------------------
