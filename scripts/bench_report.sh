@@ -18,7 +18,7 @@
 #               between hosts, so the cross-file table is printed for
 #               trajectory only; the gate uses only same-run,
 #               same-process pairs, the one host-independent comparison.
-#   output      defaults to BENCH_PR13.json in the repo root
+#   output      defaults to BENCH_PR18.json in the repo root
 #
 # The paired "before" numbers come from the same binary: bench_micro runs
 # the spectral detector and rate sampler against their executable-spec
@@ -31,7 +31,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR13.json
+OUT=BENCH_PR18.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in

@@ -17,11 +17,18 @@ void RateSampler::grow() {
   mask_ = nmask;
 }
 
+void RateSampler::release() {
+  ring_ = std::vector<Sample>();
+  mask_ = 0;
+  next_ = 0;
+  cum_bytes_ = 0;
+}
+
 // NIMBUS_HOT_PATH begin
 void RateSampler::on_ack(TimeNs sent_at, TimeNs acked_at,
                          std::uint32_t bytes) {
-  // detlint:allow(R5): doubling growth, capped at max_history_ slots
-  if (next_ >= ring_.size() && ring_.size() < max_history_) grow();
+  // detlint:allow(R5): doubling growth, capped at kMaxHistory slots
+  if (next_ >= ring_.size() && ring_.size() < kMaxHistory) grow();
   cum_bytes_ += bytes;
   ring_[next_ & mask_] = {sent_at, acked_at, cum_bytes_};
   ++next_;

@@ -13,9 +13,9 @@
 // power-of-two ring indexed by the global ack count, and each sample
 // carries the running total of acked bytes: n_bytes over any window is one
 // subtraction of two exact integer prefix sums instead of the reference
-// implementation's O(n) re-summation.  The ring doubles until the 16384-
-// sample history cap, after which on_ack overwrites the oldest slot —
-// steady state touches no heap and rates() is O(1).  Results are
+// implementation's O(n) re-summation.  The ring doubles until the
+// kMaxHistory (16384-sample) cap, after which on_ack overwrites the oldest
+// slot — steady state touches no heap and rates() is O(1).  Results are
 // bit-identical to the deque implementation it replaced, kept as the
 // executable spec in tests/oracles/reference_rate_sampler.h.
 #pragma once
@@ -46,12 +46,24 @@ class RateSampler {
   Rates rates_over_window(double cwnd_bytes, std::uint32_t mss) const;
 
   std::size_t history_size() const {
-    return next_ < max_history_ ? static_cast<std::size_t>(next_)
-                                : max_history_;
+    return next_ < kMaxHistory ? static_cast<std::size_t>(next_)
+                               : kMaxHistory;
   }
+
+  /// Heap bytes held by the ring (0 before the first ACK).
+  std::size_t heap_bytes() const {
+    return ring_.capacity() * sizeof(Sample);
+  }
+
+  /// Frees the ring (a retired flow's sampler); allocates nothing.  The
+  /// sampler is back to its empty, pre-first-ACK state.
+  void release();
 
  private:
   static constexpr std::size_t kMinPackets = 5;
+  // History cap: the ring stops doubling here and on_ack overwrites the
+  // oldest slot, so the steady state touches no heap.
+  static constexpr std::size_t kMaxHistory = 16384;
 
   struct Sample {
     TimeNs sent_at;
@@ -65,7 +77,6 @@ class RateSampler {
   std::uint64_t mask_ = 0;
   std::uint64_t next_ = 0;  // global index of the next sample
   std::uint64_t cum_bytes_ = 0;
-  std::size_t max_history_ = 16384;
 };
 
 }  // namespace nimbus::sim

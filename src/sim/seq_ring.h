@@ -43,6 +43,7 @@ class SeqRing {
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
   std::size_t capacity() const { return slots_.size(); }
+  std::size_t heap_bytes() const { return slots_.capacity() * sizeof(Slot); }
 
   T* find(std::uint64_t seq) {
     Slot& s = slots_[seq & mask_];
@@ -119,6 +120,16 @@ class SeqRing {
     count_ = 0;
   }
 
+  /// Frees the slot array for good (a retired flow's ring); allocates
+  /// nothing.  No use after release: only the size and capacity queries
+  /// and upper() stay valid, and an insert CHECK-fails.
+  void release() {
+    slots_ = std::vector<Slot>();
+    mask_ = 0;
+    lo_ = hi_ = 0;
+    count_ = 0;
+  }
+
  private:
   struct Slot {
     T value{};
@@ -127,6 +138,7 @@ class SeqRing {
   };
 
   void grow(std::uint64_t min_span) {
+    NIMBUS_CHECK_MSG(!slots_.empty(), "SeqRing used after release");
     std::size_t cap = slots_.size() * 2;
     while (cap < min_span) cap *= 2;
     std::vector<Slot> next(cap);
@@ -195,6 +207,7 @@ class SeqScoreboard {
   void ensure_span(std::uint64_t base, std::uint64_t seq) {
     if (seq - base < capacity_bits()) return;
     const std::size_t old_bits = capacity_bits();
+    NIMBUS_CHECK_MSG(old_bits > 0, "SeqScoreboard used after release");
     std::size_t bits = old_bits * 2;
     while (seq - base >= bits) bits *= 2;
     std::vector<std::uint64_t> next(bits / 64, 0);
@@ -211,6 +224,15 @@ class SeqScoreboard {
     NIMBUS_CHECK_MSG(moved == count_, "SeqScoreboard lost bits in growth");
     words_ = std::move(next);
     bitmask_ = nmask;
+  }
+
+  /// Frees the bit words for good (a retired flow's scoreboard); allocates
+  /// nothing.  No use after release: only count() (0) and capacity_bits()
+  /// (0) stay valid, and ensure_span CHECK-fails.
+  void release() {
+    words_ = std::vector<std::uint64_t>();
+    bitmask_ = 0;
+    count_ = 0;
   }
 
  private:

@@ -398,9 +398,33 @@ void TransportFlow::check_completion() {
   pacing_timer_.cancel();
   report_timer_.cancel();
   stop_timer_.cancel();
+  release_buffers();
   if (on_complete_) {
     on_complete_(cfg_.id, loop_->now(), loop_->now() - cfg_.start_time);
   }
+}
+
+// Nothing reads these buffers once completed_ is set: handle_ack returns
+// at once, report_tick and maybe_send are gated on completed_, and every
+// sequence below snd_nxt_ reached the receiver before the last ACK, so a
+// later on_link_delivery is a duplicate (p.seq < rcv_next_) that touches
+// neither the scoreboard nor the outstanding ring.  Growth of a released
+// ring or scoreboard CHECK-fails, so a breach of that argument cannot go
+// unnoticed.
+void TransportFlow::release_buffers() {
+  outstanding_.release();
+  out_of_order_.release();
+  sampler_.release();
+  retx_queue_.release();
+  retx_scratch_ = std::vector<std::uint64_t>();
+  on_rtt_sample_ = nullptr;
+}
+
+std::size_t TransportFlow::buffer_bytes() const {
+  return outstanding_.heap_bytes() + sampler_.heap_bytes() +
+         out_of_order_.capacity_bits() / 8 +
+         (retx_queue_.capacity() + retx_scratch_.capacity()) *
+             sizeof(std::uint64_t);
 }
 
 }  // namespace nimbus::sim

@@ -27,7 +27,10 @@
 // steady-state ACK path performs no heap allocation (tests pin this with
 // an operator-new hook).  All structures grow by doubling and re-placing
 // the live window, so behavior is bit-identical to the PR 2 map/set
-// implementation at any window size.
+// implementation at any window size.  A finite flow that completes
+// releases all of them (and its RTT-sample handler): only the object, its
+// CC and its lifetime counters outlive the transfer, so a long flow
+// workload keeps ~1.7 KB per finished flow instead of ~5.5 KB.
 #pragma once
 
 #include <cstdint>
@@ -123,6 +126,10 @@ class TransportFlow : public CcContext {
   std::uint64_t sent_packets() const { return sent_packets_total_; }
   std::uint64_t rto_count() const { return rto_count_; }
   std::int64_t app_bytes_remaining() const { return app_bytes_remaining_; }
+  /// Heap bytes held by the per-packet buffers (outstanding ring, SACK
+  /// scoreboard, rate-sampler ring, retransmit queue and its scratch).
+  /// 0 once the flow has completed: completion releases them.
+  std::size_t buffer_bytes() const;
 
   // --- CcContext ---
   TimeNs now() const override;
@@ -172,6 +179,7 @@ class TransportFlow : public CcContext {
   void on_rto_fired();
   void report_tick();
   void check_completion();
+  void release_buffers();
   std::uint64_t total_packets() const;  // finite flows only
 
   EventLoop* loop_;

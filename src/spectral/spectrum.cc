@@ -11,14 +11,6 @@ double Spectrum::frequency(std::size_t k) const {
   return bin_frequency(k, n == 0 ? 1 : n, sample_rate_hz);
 }
 
-double Spectrum::dominant_frequency() const {
-  std::size_t best = 1;
-  for (std::size_t k = 2; k < bins(); ++k) {
-    if (magnitude[k] > magnitude[best]) best = k;
-  }
-  return bins() > 1 ? frequency(best) : 0.0;
-}
-
 Spectrum analyze(const std::vector<double>& signal, double sample_rate_hz) {
   NIMBUS_CHECK(!signal.empty());
   std::vector<double> x = signal;

@@ -16,9 +16,6 @@ struct Spectrum {
 
   std::size_t bins() const { return magnitude.size(); }
   double frequency(std::size_t k) const;
-
-  /// Frequency of the largest non-DC bin.
-  double dominant_frequency() const;
 };
 
 /// Computes the spectrum of `signal` (mean removed, periodic Hann

@@ -64,6 +64,15 @@ class RingDeque {
     size_ = 0;
   }
 
+  /// Frees the buffer (a retired owner's queue); allocates nothing.  The
+  /// deque is empty with capacity() 0 afterwards.
+  void release() {
+    buf_ = std::vector<T>();
+    mask_ = 0;
+    head_ = 0;
+    size_ = 0;
+  }
+
   /// Pre-sizes the ring to at least `n` slots (rounded up to a power of
   /// two); never shrinks.
   void reserve(std::size_t n) {

@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include "cc/const_window.h"
 #include "exp/scenario.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "sim/event_loop.h"
+#include "sim/network.h"
 #include "util/rng.h"
 
 // --- counting operator-new hook (whole test binary) ---------------------
@@ -140,6 +143,28 @@ TEST(EventCoreTest, SameTimeBurstDrainsAsOneBatch) {
       {"loop.batch_size.p2_2", 1},    // the pair at 2 ms
       {"loop.batch_size.p2_13", 1}};  // the 4096-event burst at 5 ms
   EXPECT_EQ(batches, expected);
+}
+
+// Baseline for the lazy RTO re-arm: every ACK re-arms the flow's RTO, and
+// the RTO (>= 200 ms) lies past the wheel's ~134 ms horizon, so today each
+// ACK costs one far-heap insert.  A 40-packet window over 12 Mb/s for 5 s;
+// a change to how the RTO is queued re-pins far_heap_inserts here.
+TEST(EventCoreTest, RtoRearmFarHeapInsertsArePinned) {
+  obs::Telemetry telemetry(obs::Mode::kCounters);
+  sim::Network net(12e6, 1 << 20);
+  net.attach_telemetry(&telemetry);
+  sim::TransportFlow::Config cfg;
+  cfg.id = 1;
+  cfg.rtt_prop = from_ms(20);
+  net.add_flow(cfg, std::make_unique<cc::ConstWindow>(40));
+  net.run_until(from_sec(5));
+
+  std::map<std::string, double> snap;
+  for (const auto& [name, value] : telemetry.metrics.snapshot()) {
+    snap[name] = value;
+  }
+  EXPECT_EQ(snap["transport.acks"], 4980);
+  EXPECT_EQ(snap["loop.far_heap_inserts"], 4981);  // + the first arm
 }
 
 TEST(EventCoreTest, CallbackCanCancelLaterSameTimeEvent) {

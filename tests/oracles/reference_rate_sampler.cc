@@ -7,7 +7,7 @@ namespace nimbus::oracles {
 void ReferenceRateSampler::on_ack(TimeNs sent_at, TimeNs acked_at,
                                   std::uint32_t bytes) {
   samples_.push_back({sent_at, acked_at, bytes});
-  if (samples_.size() > max_history_) samples_.pop_front();
+  if (samples_.size() > kMaxHistory) samples_.pop_front();
 }
 
 sim::RateSampler::Rates ReferenceRateSampler::rates(

@@ -30,7 +30,7 @@ class ReferenceRateSampler {
     std::uint32_t bytes;
   };
   std::deque<Sample> samples_;
-  std::size_t max_history_ = 16384;
+  static constexpr std::size_t kMaxHistory = 16384;
   static constexpr std::size_t kMinPackets = 5;
 };
 

@@ -14,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include "cc/const_window.h"
+#include "cc/cubic.h"
 #include "cc/reno.h"
 #include "oracles/reference_rate_sampler.h"
 #include "sim/network.h"
 #include "sim/rate_sampler.h"
 #include "sim/seq_ring.h"
+#include "traffic/flow_workload.h"
+#include "util/ring_deque.h"
 #include "util/rng.h"
 
 // --- counting operator-new hook (whole test binary) ---------------------
@@ -353,6 +356,109 @@ TEST(TransportRingTest, SteadyStateLossRecoveryDoesNotAllocate) {
   EXPECT_EQ(alloc_count(), before)
       << "loss recovery must perform no steady-state heap allocations";
   EXPECT_GT(flow.lost_packets(), 0u);
+}
+
+// --- completed-flow retirement ------------------------------------------
+
+// release() frees without allocating; the rings that cannot regrow from
+// nothing refuse use after release instead of looping or scribbling.
+TEST(TransportRetireTest, ReleaseFreesWithoutAllocating) {
+  SeqRing<int> ring(8);
+  for (std::uint64_t s = 0; s < 100; ++s) ring.insert(s, 1);
+  SeqScoreboard sb(64);
+  sb.ensure_span(0, 500);
+  sb.set(500);
+  RateSampler sampler;
+  for (int i = 0; i < 100; ++i) sampler.on_ack(i, i + 10, 1500);
+  util::RingDeque<std::uint64_t> dq;
+  for (std::uint64_t s = 0; s < 40; ++s) dq.push_back(s);
+
+  const std::uint64_t before = alloc_count();
+  ring.release();
+  sb.release();
+  sampler.release();
+  dq.release();
+  EXPECT_EQ(alloc_count(), before) << "release must not allocate";
+  EXPECT_EQ(ring.heap_bytes() + sampler.heap_bytes(), 0u);
+  EXPECT_EQ(sb.capacity_bits() + dq.capacity(), 0u);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(sb.count(), 0u);
+  EXPECT_EQ(sampler.history_size(), 0u);
+  EXPECT_TRUE(dq.empty());
+  EXPECT_DEATH(ring.insert(7, 1), "SeqRing used after release");
+  EXPECT_DEATH(sb.ensure_span(0, 7), "SeqScoreboard used after release");
+}
+
+// A finite flow that completes frees every per-packet buffer and its RTT
+// handler; the object and its lifetime counters stay readable.  The flow
+// is the LossRetransmitSequenceMatchesSeed one, so the outstanding ring,
+// scoreboard, rate sampler and retransmit queue have all been grown.
+TEST(TransportRetireTest, CompletedFiniteFlowHoldsNoBuffers) {
+  Network net(12e6, 20 * 1500);
+  TransportFlow::Config cfg;
+  cfg.id = 1;
+  cfg.rtt_prop = from_ms(20);
+  cfg.app_bytes = 2000 * 1500;
+  auto* flow = net.add_flow(cfg, std::make_unique<cc::Reno>());
+  auto token = std::make_shared<int>(0);
+  flow->set_rtt_sample_handler([token](FlowId, TimeNs, TimeNs) {});
+  net.run_until(from_sec(1));
+  ASSERT_FALSE(flow->completed());
+  EXPECT_GT(flow->buffer_bytes(), 0u);
+  EXPECT_EQ(token.use_count(), 2);
+
+  net.run_until(from_sec(60));
+  ASSERT_TRUE(flow->completed());
+  EXPECT_EQ(flow->buffer_bytes(), 0u);
+  EXPECT_EQ(token.use_count(), 1) << "RTT handler must be released";
+  EXPECT_EQ(flow->bytes_in_flight(), 0);
+  EXPECT_EQ(flow->acked_bytes(), 3000000);
+  EXPECT_EQ(flow->lost_packets(), 127u);
+  EXPECT_EQ(flow->sent_packets(), 2127u);
+}
+
+// The flow_churn shape on a quarter of its link, with a shallow 20-packet
+// buffer: Cubic flows of bounded-Pareto size at 0.7 load.  Every completed
+// flow retains its object and CC only; with its buffers it kept up to
+// 6.7 KB here.  The link's delivery handler is wrapped to pin why
+// releasing is safe: the queue-driven spurious retransmissions still
+// reach completed flows, and each one carries a sequence the receiver
+// already has and regrows nothing.
+TEST(TransportRetireTest, WorkloadCellRetainsUnder2KBPerCompletedFlow) {
+  Network net(24e6, 20 * 1500);
+  traffic::FlowWorkload::Config wc;
+  wc.offered_load_fraction = 0.7;
+  wc.dist = traffic::FlowSizeDist::bounded_pareto(1.2, 1500, 200000);
+  wc.seed = 11;
+  traffic::FlowWorkload workload(&net, wc);
+
+  std::set<std::pair<FlowId, std::uint64_t>> delivered;
+  std::uint64_t after_completion = 0, fresh_after = 0, regrown_after = 0;
+  net.link().set_delivery_handler([&](const Packet& p, TimeNs t) {
+    TransportFlow* f = net.flow_by_id(p.flow_id);
+    const bool fresh = delivered.insert({p.flow_id, p.seq}).second;
+    if (f->completed()) {
+      ++after_completion;
+      if (fresh) ++fresh_after;
+    }
+    f->on_link_delivery(p, t);
+    if (f->completed() && f->buffer_bytes() > 0) ++regrown_after;
+  });
+  net.run_until(from_sec(4));
+
+  std::size_t completed = 0, max_retained = 0;
+  for (const auto& f : net.flows()) {
+    if (!f->completed()) continue;
+    ++completed;
+    const std::size_t retained =
+        sizeof(TransportFlow) + sizeof(cc::Cubic) + f->buffer_bytes();
+    max_retained = std::max(max_retained, retained);
+  }
+  EXPECT_GT(completed, 1000u);
+  EXPECT_GT(after_completion, 0u) << "no delivery reached a completed flow";
+  EXPECT_EQ(fresh_after, 0u) << "a completed flow received a new sequence";
+  EXPECT_EQ(regrown_after, 0u) << "a delivery regrew a released buffer";
+  EXPECT_LE(max_retained, 2048u);
 }
 
 }  // namespace
