@@ -6,12 +6,30 @@
 // Declarative form: four CrossSpec::kNimbus entries (no protagonist) in
 // one ScenarioSpec; the role probe is scheduled through the run_sweep
 // setup hook against BuiltScenario::nimbus_cross.
-#include <functional>
-
 #include "common.h"
 
 using namespace nimbus;
 using namespace nimbus::bench;
+
+namespace {
+
+// Self-rescheduling role probe: counts the pulsers every 500 ms.  A
+// 24-byte copyable struct the event loop stores inline.
+struct PulserProbe {
+  util::TimeSeries* pulser_count;
+  sim::Network* net;
+  const std::vector<core::Nimbus*>* flows;
+  void operator()() const {
+    int n = 0;
+    for (auto* f : *flows) {
+      if (f->role() == core::Nimbus::Role::kPulser) ++n;
+    }
+    pulser_count->add(net->loop().now(), n);
+    net->loop().schedule_in(from_ms(500), *this);
+  }
+};
+
+}  // namespace
 
 int main() {
   const double mu = 96e6;
@@ -41,20 +59,11 @@ int main() {
   // holds only what the run produced, so the cell is still a function of
   // its spec, as the cache requires.
   util::TimeSeries pulser_count;
-  std::function<void()> probe;
-  const exp::ScenarioSetup setup = [&](const exp::ScenarioSpec&,
-                                       exp::BuiltScenario& built) {
-    sim::Network* net = built.net.get();
-    const std::vector<core::Nimbus*> flows = built.nimbus_cross;
-    probe = [&pulser_count, &probe, net, flows]() {
-      int n = 0;
-      for (auto* f : flows) {
-        if (f->role() == core::Nimbus::Role::kPulser) ++n;
-      }
-      pulser_count.add(net->loop().now(), n);
-      net->loop().schedule_in(from_ms(500), probe);
-    };
-    net->loop().schedule_in(from_ms(500), probe);
+  const exp::ScenarioSetup setup = [&pulser_count](const exp::ScenarioSpec&,
+                                                   exp::BuiltScenario& built) {
+    built.net->loop().schedule_in(
+        from_ms(500),
+        PulserProbe{&pulser_count, built.net.get(), &built.nimbus_cross});
   };
 
   // Cell layout: [jain, mean_pulsers, qdelay_ms, then per step: t, f1..f4

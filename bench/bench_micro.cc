@@ -214,10 +214,10 @@ void BM_TimerRearm(benchmark::State& state) {
   std::uint64_t fired = 0;
   for (auto _ : state) {
     sim::EventLoop loop;
-    sim::Timer rto(&loop);
-    for (int i = 0; i < kRearms; ++i) {
-      rto.arm_in(from_ms(200), [&fired]() { ++fired; });
-    }
+    sim::Timer rto(&loop, &fired, [](void* owner) {
+      ++*static_cast<std::uint64_t*>(owner);
+    });
+    for (int i = 0; i < kRearms; ++i) rto.arm_in(from_ms(200));
     loop.run_until(from_sec(1));
     benchmark::DoNotOptimize(fired);
   }

@@ -40,6 +40,7 @@
 #include "core/pulse.h"
 #include "obs/flight_recorder.h"
 #include "sim/cc_interface.h"
+#include "sim/packet.h"
 #include "util/ewma.h"
 #include "util/ring_deque.h"
 
@@ -100,7 +101,7 @@ class Nimbus final : public sim::CcAlgorithm {
   /// emits a kDetectorDecision record (eta, band-max bin, the threshold in
   /// effect, the verdict), plus kModeSwitch and kPulsePhase marks.
   /// `flow_tag` labels the records (protagonist vs cross Nimbus).
-  void set_trace(obs::Trace trace, std::uint16_t flow_tag) {
+  void set_trace(obs::Trace trace, sim::FlowId flow_tag) {
     trace_ = trace;
     trace_flow_ = flow_tag;
   }
@@ -174,7 +175,7 @@ class Nimbus final : public sim::CcAlgorithm {
 
   // Decision tracing (inactive unless set_trace armed it).
   obs::Trace trace_;
-  std::uint16_t trace_flow_ = 0;
+  sim::FlowId trace_flow_ = 0;
   int last_pulse_phase_ = -1;  // half-period index; -1 = not yet observed
 };
 

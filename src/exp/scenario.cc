@@ -391,6 +391,34 @@ std::string export_trace_artifacts(const ScenarioSpec& spec,
   return json_path;
 }
 
+namespace {
+
+// Physical invariants every transport flow must satisfy after a run: no
+// more packets lost than sent, no more bytes acknowledged than sent, and
+// the receiver of a completed finite flow holds all of its application
+// bytes.  The last is checked at the receiver, not against acked_bytes():
+// that counter sums the bytes the sender saw acknowledged while still
+// outstanding, which misses a packet declared lost while a copy of it was
+// in flight and then covered by a cumulative ACK before being resent.
+// O(flows), once per cell.
+void check_transport_conservation(sim::Network& net) {
+  for (const auto& f : net.flows()) {
+    const auto sent = f->sent_packets();
+    NIMBUS_CHECK_MSG(f->lost_packets() <= sent,
+                     "transport flow lost more packets than it sent");
+    NIMBUS_CHECK_MSG(static_cast<std::uint64_t>(f->acked_bytes()) <=
+                         sent * f->mss(),
+                     "transport flow acked more bytes than it sent");
+    NIMBUS_CHECK_MSG(!f->completed() || f->config().app_bytes < 0 ||
+                         static_cast<std::int64_t>(f->received_packets() *
+                                                   f->mss()) >=
+                             f->config().app_bytes,
+                     "completed flow's receiver lacks some of its bytes");
+  }
+}
+
+}  // namespace
+
 ScenarioRun run_scenario(const ScenarioSpec& spec,
                          const ScenarioSetup& setup, const RunBudget& budget,
                          const ObsConfig& obs) {
@@ -402,12 +430,10 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
     run.built.net->attach_telemetry(run.telemetry.get());
     const obs::Trace tr = run.telemetry->trace();
     if (run.built.nimbus != nullptr) {
-      run.built.nimbus->set_trace(
-          tr, static_cast<std::uint16_t>(spec.protagonist.id));
+      run.built.nimbus->set_trace(tr, spec.protagonist.id);
     }
     for (std::size_t i = 0; i < run.built.nimbus_cross.size(); ++i) {
-      run.built.nimbus_cross[i]->set_trace(
-          tr, static_cast<std::uint16_t>(run.built.nimbus_cross_ids[i]));
+      run.built.nimbus_cross[i]->set_trace(tr, run.built.nimbus_cross_ids[i]);
     }
   }
   if (spec.log_copa_mode) {
@@ -436,6 +462,7 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
                                          budget.max_wall_seconds);
   }
   run.built.net->run_until(spec.duration);
+  check_transport_conservation(*run.built.net);
   export_trace_artifacts(spec, run, obs.dir);
   return run;
 }

@@ -44,10 +44,10 @@ const char* trace_kind_name(TraceKind k);
 struct TraceEvent {
   TimeNs t = 0;
   std::uint16_t kind = 0;
-  std::uint16_t flow = 0;
+  std::uint16_t pad = 0;
+  std::uint32_t flow = 0;  // sim::FlowId
   std::uint32_t a = 0;
   std::uint32_t b = 0;
-  std::uint32_t pad = 0;
   double v0 = 0;
   double v1 = 0;
   double v2 = 0;
@@ -57,6 +57,7 @@ struct TraceEvent {
            x.b == y.b && x.v0 == y.v0 && x.v1 == y.v1 && x.v2 == y.v2;
   }
 };
+static_assert(sizeof(TraceEvent) == 48, "trace records stay 48 bytes");
 
 class FlightRecorder {
  public:

@@ -32,7 +32,6 @@ void EventLoop::fire_slot(Slot& slot, std::uint64_t id, TimeNs t) {
   // callback may grow the pools or the queue freely while running.  The
   // slot is not on the free list yet, so nothing can re-occupy it.
   slot.cb();
-  slot.cb.reset();
   slot.next_free = free_head_;
   free_head_ = static_cast<std::uint32_t>(id & kSlotMask);
 }
@@ -41,7 +40,6 @@ void EventLoop::release_slot(std::uint32_t s) {
   Slot& slot = slot_ref(s);
   slot.pending_id = 0;
   slot.extracted = false;
-  slot.cb.reset();  // free for inline callables (no destructor work)
   slot.next_free = free_head_;
   free_head_ = s;
 }
@@ -410,31 +408,25 @@ void EventLoop::attach_metrics(obs::MetricsRegistry* m) {
   obs_batch_size_ = m->histogram("loop.batch_size");
 }
 
-void Timer::arm(TimeNs at, EventLoop::Callback cb) {
-  cb_ = std::move(cb);
-  deadline_ = at;
-  if (armed_) {
+void Timer::arm(TimeNs at) {
+  if (pending_ != 0) {
     // Fast path: keep the slot and trampoline, move only the queue entry.
     pending_ = loop_->reschedule(pending_, at);
     return;
   }
-  armed_ = true;
   pending_ = loop_->schedule(at, Fire{this});
 }
 
 void Timer::cancel() {
-  if (armed_) {
+  if (pending_ != 0) {
     loop_->cancel(pending_);
-    armed_ = false;
-    cb_.reset();
+    pending_ = 0;
   }
 }
 
 void Timer::fire() {
-  armed_ = false;
-  // Move out before invoking: the callback may re-arm this timer.
-  EventLoop::Callback cb = std::move(cb_);
-  cb();
+  pending_ = 0;  // the handler may re-arm this timer
+  handler_(owner_);
 }
 
 }  // namespace nimbus::sim

@@ -2,12 +2,12 @@
 // tie-breaking by scheduling order.
 //
 // Performance design (see README "Performance"):
-//  * Callbacks are stored in EventCallback, a move-only type-erased callable
-//    with a 56-byte inline buffer.  The common captures ([this],
-//    [this, Ack], an in-flight Packet) are trivially copyable and live
-//    inline with direct function-pointer dispatch and no destructor work,
-//    so steady-state scheduling performs no heap allocation; anything
-//    larger or non-trivially-copyable falls back to a heap cell.
+//  * Callbacks are stored in EventCallback, a trivially copyable
+//    type-erased callable: a 56-byte inline buffer and one invoke pointer.
+//    The captures the simulator schedules ([this], [this, Ack], an
+//    in-flight Packet) dispatch through that pointer with no destructor
+//    work, so scheduling performs no heap allocation.  A capture that is
+//    larger or not trivially copyable does not compile.
 //  * Pending events live in slots allocated in fixed 512-entry chunks
 //    (stable addresses, recycled through an intrusive free list), so the
 //    loop can invoke a callback in place — no per-event move of the
@@ -31,16 +31,16 @@
 //    sort per run, not one scan per event), so a k-event same-time burst —
 //    a phase start waking every flow at once — costs O(k log k) instead of
 //    the O(k^2) repeated min-extraction.
-//  * Timer has a rearm fast path: while armed, re-arming keeps the slot
-//    and the trampoline callback and only re-enqueues the 16-byte entry
-//    (reschedule()), so per-ACK RTO rearming touches no callback storage.
+//  * Timer binds its handler (owner pointer + function pointer) once, at
+//    construction; arming takes only a time.  While armed, re-arming keeps
+//    the slot and only re-enqueues the 16-byte entry (reschedule()), so
+//    per-ACK RTO rearming touches no callback storage.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -55,112 +55,60 @@ namespace nimbus::sim {
 
 using EventId = std::uint64_t;
 
-/// Move-only type-erased `void()` callable.  Trivially copyable callables
-/// up to kInlineBytes live in the inline buffer (dispatch is one indirect
-/// call; destruction is free); other callables go to a heap cell.
+/// Type-erased `void()` callable held entirely inline: a 56-byte buffer
+/// plus one invoke pointer, 64 bytes in all.  Only trivially copyable
+/// callables that fit are accepted — anything else is a compile error —
+/// so a callback is copied as plain bytes, never allocates and never
+/// needs destroying.
 class EventCallback {
  public:
   static constexpr std::size_t kInlineBytes = 56;
+
+  /// True for the callables EventCallback can hold.
+  template <typename D>
+  static constexpr bool fits() {
+    return sizeof(D) <= kInlineBytes &&
+           alignof(D) <= alignof(std::max_align_t) &&
+           std::is_trivially_copyable_v<D>;
+  }
 
   EventCallback() noexcept = default;
 
   template <typename F,
             typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, EventCallback> &&
-                                        std::is_invocable_r_v<void, D&>>>
+                                        std::is_invocable_r_v<void, D&> &&
+                                        fits<D>()>>
   EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
     emplace<F>(std::forward<F>(f));
   }
 
-  EventCallback(EventCallback&& other) noexcept { take(other); }
-  EventCallback& operator=(EventCallback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      take(other);
-    }
-    return *this;
-  }
-
-  EventCallback(const EventCallback&) = delete;
-  EventCallback& operator=(const EventCallback&) = delete;
-
-  ~EventCallback() { reset(); }
-
-  /// Constructs a callable in place (callers must reset() first if
-  /// engaged; EventLoop's slots are always empty at this point).
+  /// Constructs a callable in place, replacing any previous one.
   template <typename F, typename D = std::decay_t<F>>
   void emplace(F&& f) {
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      invoke_ = [](unsigned char* p) {
-        (*std::launder(reinterpret_cast<D*>(p)))();
-      };
-      destroy_ = nullptr;  // trivially destructible by construction
-    } else {
-      *reinterpret_cast<D**>(static_cast<void*>(storage_)) =
-          new D(std::forward<F>(f));
-      invoke_ = [](unsigned char* p) { (**heap_cell<D>(p))(); };
-      destroy_ = [](unsigned char* p) { delete *heap_cell<D>(p); };
-    }
+    static_assert(fits<D>(),
+                  "an event callback must be trivially copyable and fit the "
+                  "56-byte inline buffer");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    invoke_ = [](unsigned char* p) {
+      (*std::launder(reinterpret_cast<D*>(p)))();
+    };
   }
 
   void operator()() { invoke_(storage_); }
 
-  explicit operator bool() const noexcept { return invoke_ != nullptr; }
-
-  void reset() noexcept {
-    if (destroy_ != nullptr) destroy_(storage_);
-    invoke_ = nullptr;
-    destroy_ = nullptr;
-  }
-
-  /// True if the stored callable lives in the inline buffer (test hook for
-  /// the zero-allocation guarantee).
-  bool is_inline() const noexcept {
-    return invoke_ != nullptr && destroy_ == nullptr;
-  }
-
  private:
-  // Inline storage requires trivial copyability: moves are then a plain
-  // byte copy and destruction is a no-op — the properties the in-place
-  // invocation and zero-cost slot release rely on.  All simulator hot-path
-  // captures (POD structs, [this]-style lambdas) qualify.
-  template <typename D>
-  static constexpr bool fits_inline() {
-    return sizeof(D) <= kInlineBytes &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_trivially_copyable_v<D> &&
-           std::is_trivially_destructible_v<D>;
-  }
-
-  template <typename D>
-  static D** heap_cell(unsigned char* p) {
-    return reinterpret_cast<D**>(static_cast<void*>(p));
-  }
-
-  void take(EventCallback& other) noexcept {
-    // Inline callables are trivially copyable and heap cells are plain
-    // pointers, so relocation is a raw byte copy in both cases.
-    std::memcpy(storage_, other.storage_, kInlineBytes);
-    invoke_ = other.invoke_;
-    destroy_ = other.destroy_;
-    other.invoke_ = nullptr;
-    other.destroy_ = nullptr;
-  }
-
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   void (*invoke_)(unsigned char*) = nullptr;
-  void (*destroy_)(unsigned char*) = nullptr;
 };
 
 class EventLoop {
  public:
-  using Callback = EventCallback;
-
   EventLoop();
 
   /// Schedules `cb` at absolute time `t` (must be >= now()).  Accepts any
-  /// callable; it is constructed directly into a pooled slot.
+  /// callable EventCallback can hold; it is constructed directly into a
+  /// pooled slot.
   template <typename F>
   EventId schedule(TimeNs t, F&& cb) {
     const std::uint32_t s = acquire_slot(t);
@@ -262,7 +210,7 @@ class EventLoop {
   }
 
   struct Slot {
-    Callback cb;
+    EventCallback cb;
     std::uint64_t pending_id = 0;    // 0 = empty/free
     std::uint64_t time = 0;          // deadline of the pending event
     std::uint32_t next_free = kNoSlot;
@@ -358,26 +306,32 @@ class EventLoop {
   obs::Histogram obs_batch_size_;
 };
 
-/// A single rearmable timer (e.g. an RTO).  Re-arming cancels the previous
-/// schedule; fire() is invoked at most once per arm.  The user callback is
-/// stored in the timer itself and the loop only holds an 8-byte trampoline,
-/// so arming never allocates; re-arming while armed reuses the pending
+/// A single rearmable timer (e.g. an RTO) bound at construction to one
+/// handler: `handler(owner)` runs at most once per arm.  Re-arming cancels
+/// the previous schedule.  The loop holds only an 8-byte trampoline, so
+/// arming never allocates, and re-arming while armed reuses the pending
 /// slot via EventLoop::reschedule.
 class Timer {
  public:
-  explicit Timer(EventLoop* loop) : loop_(loop) {}
+  using Handler = void (*)(void* owner);
+
+  /// Handler adapter: `Timer::method<T, &T::f>` calls `owner->f()`.
+  template <typename T, void (T::*F)()>
+  static void method(void* owner) {
+    (static_cast<T*>(owner)->*F)();
+  }
+
+  Timer(EventLoop* loop, void* owner, Handler handler)
+      : loop_(loop), owner_(owner), handler_(handler) {}
   ~Timer() { cancel(); }
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  void arm(TimeNs at, EventLoop::Callback cb);
-  void arm_in(TimeNs delay, EventLoop::Callback cb) {
-    arm(loop_->now() + delay, std::move(cb));
-  }
+  void arm(TimeNs at);
+  void arm_in(TimeNs delay) { arm(loop_->now() + delay); }
   void cancel();
-  bool armed() const { return armed_; }
-  TimeNs deadline() const { return deadline_; }
+  bool armed() const { return pending_ != 0; }
 
  private:
   struct Fire {
@@ -387,10 +341,12 @@ class Timer {
   void fire();
 
   EventLoop* loop_;
-  EventLoop::Callback cb_;
-  EventId pending_ = 0;
-  bool armed_ = false;
-  TimeNs deadline_ = 0;
+  void* owner_;
+  Handler handler_;
+  EventId pending_ = 0;  // 0 = not armed (event ids are nonzero)
 };
+
+static_assert(sizeof(Timer) <= 4 * sizeof(void*),
+              "Timer holds a bound handler, not a callback");
 
 }  // namespace nimbus::sim

@@ -14,6 +14,10 @@ constexpr double kInitialCwndPkts = 10;         // Linux IW10
 constexpr TimeNs kReportInterval = from_ms(10);  // CCP report cadence
 constexpr std::int64_t kBackloggedBytes =
     std::numeric_limits<std::int64_t>::max() / 2;
+
+// The handler a flow timer binds: calls the given TransportFlow member.
+template <void (TransportFlow::*F)()>
+constexpr Timer::Handler on_fire = &Timer::method<TransportFlow, F>;
 }  // namespace
 
 TransportObs TransportObs::registered(obs::MetricsRegistry* m,
@@ -36,10 +40,10 @@ TransportFlow::TransportFlow(EventLoop* loop, BottleneckLink* link,
       cfg_(config),
       cc_(std::move(cc)),
       rng_(config.seed),
-      rto_timer_(loop),
-      pacing_timer_(loop),
-      report_timer_(loop),
-      stop_timer_(loop) {
+      rto_timer_(loop, this, on_fire<&TransportFlow::on_rto_fired>),
+      pacing_timer_(loop, this, on_fire<&TransportFlow::maybe_send>),
+      report_timer_(loop, this, on_fire<&TransportFlow::report_tick>),
+      stop_timer_(loop, this, on_fire<&TransportFlow::on_stop_time>) {
   static_assert(sizeof(AckArrival) <= EventCallback::kInlineBytes,
                 "ACK delivery must fit the inline callback buffer");
   NIMBUS_CHECK(cc_ != nullptr);
@@ -60,11 +64,13 @@ void TransportFlow::begin() {
   started_ = true;
   cc_->init(*this);
   if (cfg_.stop_time != std::numeric_limits<TimeNs>::max()) {
-    stop_timer_.arm(cfg_.stop_time, [this]() { app_bytes_remaining_ = 0; });
+    stop_timer_.arm(cfg_.stop_time);
   }
-  report_timer_.arm_in(kReportInterval, [this]() { report_tick(); });
+  report_timer_.arm_in(kReportInterval);
   maybe_send();
 }
+
+void TransportFlow::on_stop_time() { app_bytes_remaining_ = 0; }
 
 TimeNs TransportFlow::now() const { return loop_->now(); }
 
@@ -76,7 +82,7 @@ void TransportFlow::set_cwnd_bytes(double bytes) {
     obs::TraceEvent e;
     e.t = loop_->now();
     e.kind = static_cast<std::uint16_t>(obs::TraceKind::kCwndCollapse);
-    e.flow = static_cast<std::uint16_t>(cfg_.id);
+    e.flow = cfg_.id;
     e.v0 = cwnd_bytes_;
     e.v1 = old;
     obs_.trace.emit(e);
@@ -122,7 +128,7 @@ void TransportFlow::maybe_send() {
     if (pacing_rate_bps_ > 0) {
       const TimeNs t = loop_->now();
       if (t < next_send_time_) {
-        pacing_timer_.arm(next_send_time_, [this]() { maybe_send(); });
+        pacing_timer_.arm(next_send_time_);
         return;
       }
       send_one();
@@ -288,7 +294,7 @@ void TransportFlow::declare_lost(std::uint64_t seq) {
     obs::TraceEvent e;
     e.t = loss.now;
     e.kind = static_cast<std::uint16_t>(obs::TraceKind::kLossEpisode);
-    e.flow = static_cast<std::uint16_t>(cfg_.id);
+    e.flow = cfg_.id;
     e.a = static_cast<std::uint32_t>(seq);
     e.v0 = cwnd_bytes_;
     obs_.trace.emit(e);
@@ -321,7 +327,7 @@ void TransportFlow::arm_or_cancel_rto() {
     rto_timer_.cancel();
     return;
   }
-  rto_timer_.arm_in(current_rto(), [this]() { on_rto_fired(); });
+  rto_timer_.arm_in(current_rto());
 }
 
 void TransportFlow::on_rto_fired() {
@@ -333,7 +339,7 @@ void TransportFlow::on_rto_fired() {
     obs::TraceEvent e;
     e.t = loop_->now();
     e.kind = static_cast<std::uint16_t>(obs::TraceKind::kRtoFired);
-    e.flow = static_cast<std::uint16_t>(cfg_.id);
+    e.flow = cfg_.id;
     e.a = static_cast<std::uint32_t>(rto_backoff_);
     obs_.trace.emit(e);
   }
@@ -383,7 +389,7 @@ void TransportFlow::report_tick() {
 
   cc_->on_report(*this, r);
   maybe_send();  // the report may have changed cwnd / pacing
-  report_timer_.arm_in(kReportInterval, [this]() { report_tick(); });
+  report_timer_.arm_in(kReportInterval);
 }
 
 void TransportFlow::check_completion() {

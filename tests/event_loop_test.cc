@@ -6,9 +6,11 @@
 // seed implementation bit for bit.
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,35 +62,51 @@ std::uint64_t alloc_count() {
 
 // --- EventCallback ------------------------------------------------------
 
-TEST(EventCallbackTest, InlineForSmallCaptures) {
+TEST(EventCallbackTest, InvokesSmallCaptures) {
   int x = 0;
   EventCallback cb([&x]() { ++x; });
-  EXPECT_TRUE(cb.is_inline());
   cb();
   EXPECT_EQ(x, 1);
 }
 
-TEST(EventCallbackTest, HeapFallbackForLargeCaptures) {
-  struct Big {
-    double payload[16];
+// A callable that would need a heap cell does not compile: oversized and
+// non-trivially-copyable captures are rejected at the call site.
+TEST(EventCallbackTest, RejectsOversizedOrNonTriviallyCopyableCallables) {
+  struct Fits {
+    int* counter;
+    double pad[6];
+    void operator()() const { ++*counter; }
   };
-  Big big{};
-  big.payload[0] = 42.0;
-  double got = 0;
-  EventCallback cb([big, &got]() { got = big.payload[0]; });
-  EXPECT_FALSE(cb.is_inline());
+  struct Oversized {
+    double payload[8];
+    void operator()() const {}
+  };
+  struct NotTriviallyCopyable {
+    std::vector<int> v;
+    void operator()() const {}
+  };
+  static_assert(sizeof(Fits) == EventCallback::kInlineBytes);
+  static_assert(std::is_constructible_v<EventCallback, Fits>);
+  static_assert(!std::is_constructible_v<EventCallback, Oversized>);
+  static_assert(!std::is_constructible_v<EventCallback, NotTriviallyCopyable>);
+  static_assert(!std::is_constructible_v<EventCallback, std::function<void()>>);
+
+  int count = 0;
+  EventCallback cb(Fits{&count, {}});
   cb();
-  EXPECT_EQ(got, 42.0);
+  EXPECT_EQ(count, 1);
 }
 
-TEST(EventCallbackTest, MoveTransfersOwnership) {
+// Copying is a plain 64-byte copy; both copies hold the same callable.
+TEST(EventCallbackTest, TriviallyCopyable) {
+  static_assert(std::is_trivially_copyable_v<EventCallback>);
+  static_assert(sizeof(EventCallback) == 64);
   int calls = 0;
   EventCallback a([&calls]() { ++calls; });
-  EventCallback b = std::move(a);
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(static_cast<bool>(b));
+  EventCallback b = a;
+  a();
   b();
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(calls, 2);
 }
 
 // --- ordering & cancellation -------------------------------------------
@@ -314,31 +332,42 @@ TEST(EventCoreTest, SlotPoolIsRecycled) {
 
 // --- Timer --------------------------------------------------------------
 
+void count_fire(void* counter) { ++*static_cast<int*>(counter); }
+
 TEST(TimerTest, RearmWhileArmedMovesDeadline) {
   EventLoop loop;
   int fired = 0;
-  Timer t(&loop);
-  t.arm(from_ms(10), [&fired]() { fired += 1; });
-  t.arm(from_ms(30), [&fired]() { fired += 100; });  // fast path: rearm
+  Timer t(&loop, &fired, count_fire);
+  t.arm(from_ms(10));
+  t.arm(from_ms(30));  // fast path: rearm supersedes the 10 ms deadline
   EXPECT_TRUE(t.armed());
-  EXPECT_EQ(t.deadline(), from_ms(30));
   loop.run_until(from_ms(20));
   EXPECT_EQ(fired, 0);  // first arm was superseded
-  loop.run_until(from_ms(40));
-  EXPECT_EQ(fired, 100);
+  EXPECT_TRUE(t.armed());
+  loop.run_until(from_ms(29));
+  EXPECT_EQ(fired, 0);
+  loop.run_until(from_ms(30));
+  EXPECT_EQ(fired, 1);  // fires exactly at the re-armed deadline
   EXPECT_FALSE(t.armed());
+  loop.run_until(from_ms(40));
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(TimerTest, RearmFromInsideCallback) {
-  EventLoop loop;
-  int ticks = 0;
-  Timer t(&loop);
-  std::function<void()> tick = [&]() {
-    if (++ticks < 5) t.arm_in(from_ms(10), tick);
+  struct Ticker {
+    Timer timer;
+    int ticks = 0;
+    explicit Ticker(EventLoop* loop)
+        : timer(loop, this, &Timer::method<Ticker, &Ticker::tick>) {}
+    void tick() {
+      if (++ticks < 5) timer.arm_in(from_ms(10));
+    }
   };
-  t.arm_in(from_ms(10), tick);
+  EventLoop loop;
+  Ticker ticker(&loop);
+  ticker.timer.arm_in(from_ms(10));
   loop.run_until(from_sec(1));
-  EXPECT_EQ(ticks, 5);
+  EXPECT_EQ(ticker.ticks, 5);
 }
 
 TEST(TimerTest, CancelRearmStress) {
@@ -352,7 +381,8 @@ TEST(TimerTest, CancelRearmStress) {
   std::vector<std::unique_ptr<Timer>> timers;
   std::vector<int> fires(kTimers, 0);
   for (int i = 0; i < kTimers; ++i) {
-    timers.push_back(std::make_unique<Timer>(&loop));
+    timers.push_back(std::make_unique<Timer>(
+        &loop, &fires[static_cast<std::size_t>(i)], count_fire));
   }
   int expected_total = 0;
   for (int round = 0; round < kRounds; ++round) {
@@ -368,8 +398,7 @@ TEST(TimerTest, CancelRearmStress) {
           const TimeNs delay =
               1 + static_cast<TimeNs>(rng.uniform() * to_sec(from_ms(90)) *
                                       static_cast<double>(kNanosPerSec));
-          timers[static_cast<std::size_t>(i)]->arm_in(
-              delay, [&fires, i]() { ++fires[static_cast<std::size_t>(i)]; });
+          timers[static_cast<std::size_t>(i)]->arm_in(delay);
           armed = true;
         }
       }
@@ -415,12 +444,12 @@ TEST(EventCoreTest, SteadyStateSchedulingDoesNotAllocate) {
 
 TEST(EventCoreTest, TimerRearmDoesNotAllocate) {
   EventLoop loop;
-  Timer t(&loop);
-  std::uint64_t fired = 0;
+  int fired = 0;
+  Timer t(&loop, &fired, count_fire);
   const auto pattern = [&]() {
     for (int i = 0; i < 256; ++i) {
       // Typical RTO usage: rearm while armed on every ACK.
-      t.arm_in(from_ms(200), [&fired]() { ++fired; });
+      t.arm_in(from_ms(200));
     }
     loop.run_until(loop.now() + from_sec(1));
   };
@@ -429,7 +458,7 @@ TEST(EventCoreTest, TimerRearmDoesNotAllocate) {
   pattern();
   EXPECT_EQ(alloc_count(), before) << "Timer::arm_in rearm must perform no "
                                       "heap allocations";
-  EXPECT_EQ(fired, 2u);  // one fire per pattern invocation
+  EXPECT_EQ(fired, 2);  // one fire per pattern invocation
 }
 
 // --- golden regression ---------------------------------------------------

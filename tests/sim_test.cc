@@ -45,12 +45,16 @@ TEST(EventLoopTest, CancelPreventsExecution) {
 }
 
 TEST(EventLoopTest, SchedulingFromCallback) {
+  struct Tick {
+    EventLoop* loop;
+    int* count;
+    void operator()() const {
+      if (++*count < 5) loop->schedule_in(from_ms(10), *this);
+    }
+  };
   EventLoop loop;
   int count = 0;
-  std::function<void()> tick = [&]() {
-    if (++count < 5) loop.schedule_in(from_ms(10), tick);
-  };
-  loop.schedule(0, tick);
+  loop.schedule(0, Tick{&loop, &count});
   loop.run_until(from_sec(1));
   EXPECT_EQ(count, 5);
 }
@@ -67,26 +71,28 @@ TEST(EventLoopTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(count, 2);
 }
 
+void count_fire(void* counter) { ++*static_cast<int*>(counter); }
+
 TEST(TimerTest, RearmCancelsPrevious) {
   EventLoop loop;
-  Timer t(&loop);
   int fired = 0;
-  t.arm(from_ms(10), [&]() { fired += 1; });
-  t.arm(from_ms(20), [&]() { fired += 10; });
+  Timer t(&loop, &fired, count_fire);
+  t.arm(from_ms(10));
+  t.arm(from_ms(20));
   loop.run();
-  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(TimerTest, CancelWorks) {
   EventLoop loop;
-  Timer t(&loop);
-  bool fired = false;
-  t.arm(from_ms(10), [&]() { fired = true; });
+  int fired = 0;
+  Timer t(&loop, &fired, count_fire);
+  t.arm(from_ms(10));
   EXPECT_TRUE(t.armed());
   t.cancel();
   EXPECT_FALSE(t.armed());
   loop.run();
-  EXPECT_FALSE(fired);
+  EXPECT_EQ(fired, 0);
 }
 
 // --- drop tail ---
@@ -255,13 +261,17 @@ TEST(LinkTest, PolicerLimitsRate) {
   link.set_delivery_handler(
       [&](const Packet& p, TimeNs) { delivered += p.size_bytes; });
   // Offer 50 Mbit/s for 2 s; policer should cap near 10 Mbit/s + burst.
-  std::function<void()> send = [&]() {
-    link.enqueue(make_packet(1, 0));
-    if (loop.now() < from_sec(2)) {
-      loop.schedule_in(tx_time(1500, 50e6), send);
+  struct Send {
+    EventLoop* loop;
+    BottleneckLink* link;
+    void operator()() const {
+      link->enqueue(make_packet(1, 0));
+      if (loop->now() < from_sec(2)) {
+        loop->schedule_in(tx_time(1500, 50e6), *this);
+      }
     }
   };
-  loop.schedule(0, send);
+  loop.schedule(0, Send{&loop, &link});
   loop.run();
   const double rate = static_cast<double>(delivered) * 8 / 2.0;
   EXPECT_LT(rate, 12e6);

@@ -419,12 +419,13 @@ TEST(TransportRetireTest, CompletedFiniteFlowHoldsNoBuffers) {
 
 // The flow_churn shape on a quarter of its link, with a shallow 20-packet
 // buffer: Cubic flows of bounded-Pareto size at 0.7 load.  Every completed
-// flow retains its object and CC only; with its buffers it kept up to
-// 6.7 KB here.  The link's delivery handler is wrapped to pin why
+// flow retains its object and CC only (864 B); with its buffers it kept
+// up to 6.7 KB here, and with a stored callback in each of its four timers
+// 1264 B.  The link's delivery handler is wrapped to pin why
 // releasing is safe: the queue-driven spurious retransmissions still
 // reach completed flows, and each one carries a sequence the receiver
 // already has and regrows nothing.
-TEST(TransportRetireTest, WorkloadCellRetainsUnder2KBPerCompletedFlow) {
+TEST(TransportRetireTest, WorkloadCellRetainsUnder1KBPerCompletedFlow) {
   Network net(24e6, 20 * 1500);
   traffic::FlowWorkload::Config wc;
   wc.offered_load_fraction = 0.7;
@@ -458,7 +459,7 @@ TEST(TransportRetireTest, WorkloadCellRetainsUnder2KBPerCompletedFlow) {
   EXPECT_GT(after_completion, 0u) << "no delivery reached a completed flow";
   EXPECT_EQ(fresh_after, 0u) << "a completed flow received a new sequence";
   EXPECT_EQ(regrown_after, 0u) << "a delivery regrew a released buffer";
-  EXPECT_LE(max_retained, 2048u);
+  EXPECT_LE(max_retained, 1024u);
 }
 
 }  // namespace

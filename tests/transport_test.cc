@@ -3,8 +3,12 @@
 // and flow completion.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "cc/const_window.h"
 #include "cc/reno.h"
+#include "obs/telemetry.h"
 #include "sim/network.h"
 
 namespace nimbus::sim {
@@ -120,6 +124,52 @@ TEST(TransportTest, RtoRecoversFromTotalLoss) {
   auto* flow = net.add_flow(cfg, std::make_unique<cc::Reno>());
   net.run_until(from_sec(120));
   EXPECT_TRUE(flow->completed());
+}
+
+TEST(TransportTest, TraceRecordsCarryFlowIdsPast16Bits) {
+  // The RtoRecoversFromTotalLoss path under tracing, with an id that does
+  // not fit 16 bits: every loss, cwnd-collapse and RTO record names it.
+  constexpr FlowId kId = 70000;
+  Network net(kRate, 1 << 20);
+  net.link().set_random_loss(0.4, 17);
+  obs::Telemetry telemetry(obs::Mode::kTrace);
+  net.attach_telemetry(&telemetry);
+  TransportFlow::Config cfg;
+  cfg.id = kId;
+  cfg.rtt_prop = from_ms(20);
+  cfg.app_bytes = 50 * 1500;
+  auto* flow = net.add_flow(cfg, std::make_unique<cc::Reno>());
+  net.run_until(from_sec(120));
+  ASSERT_TRUE(flow->completed());
+
+  int losses = 0, rtos = 0;
+  for (const obs::TraceEvent& e : telemetry.recorder.snapshot()) {
+    const auto kind = static_cast<obs::TraceKind>(e.kind);
+    if (kind != obs::TraceKind::kLossEpisode &&
+        kind != obs::TraceKind::kCwndCollapse &&
+        kind != obs::TraceKind::kRtoFired) {
+      continue;
+    }
+    EXPECT_EQ(e.flow, kId);
+    losses += kind == obs::TraceKind::kLossEpisode;
+    rtos += kind == obs::TraceKind::kRtoFired;
+  }
+  EXPECT_GT(losses, 0);
+  EXPECT_EQ(rtos, static_cast<int>(flow->rto_count()));
+  EXPECT_GT(rtos, 0);
+
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  telemetry.recorder.write_csv(f);
+  std::rewind(f);
+  std::string csv;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    csv.append(buf, n);
+  }
+  std::fclose(f);
+  EXPECT_NE(csv.find(",loss_episode,70000,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find(",rto_fired,70000,"), std::string::npos) << csv;
 }
 
 TEST(TransportTest, PacedFlowRespectsRate) {
