@@ -88,10 +88,17 @@ std::optional<CellResult> decode_entry(const std::string& text,
   if (!expect("spec " + spec_hash.hex())) return std::nullopt;
   if (!expect("seed " + std::to_string(seed))) return std::nullopt;
   if (!expect("fp " + fp.hex())) return std::nullopt;
-  if (!std::getline(in, line) || line.rfind("n ", 0) != 0) return std::nullopt;
+  if (!std::getline(in, line) || line.rfind("n ", 0) != 0 ||
+      line.size() == 2 ||
+      line.find_first_not_of("0123456789", 2) != std::string::npos) {
+    return std::nullopt;
+  }
+  // The count sizes an allocation, so it must fit the value lines that
+  // are actually left (17 bytes each) before anything is reserved.
   char* end = nullptr;
   const unsigned long long n = std::strtoull(line.c_str() + 2, &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
+  const auto rest = payload.size() - static_cast<std::size_t>(in.tellg());
+  if (n > rest / 17) return std::nullopt;
 
   CellResult r;
   r.values.reserve(n);

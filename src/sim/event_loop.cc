@@ -5,7 +5,12 @@
 
 namespace nimbus::sim {
 
-EventLoop::EventLoop() { bucket_head_.fill(kNilNode); }
+EventLoop::EventLoop() {
+  // A slot is the callback plus the id it holds and a free-list link;
+  // growing it costs every pending event a cache line's share.
+  static_assert(sizeof(Slot) <= 80, "an event slot is callback + id + link");
+  bucket_head_.fill(kNilNode);
+}
 
 std::uint32_t EventLoop::acquire_slot(TimeNs t) {
   NIMBUS_CHECK_MSG(t >= now_, "cannot schedule events in the past");
@@ -24,7 +29,6 @@ std::uint32_t EventLoop::acquire_slot(TimeNs t) {
 void EventLoop::fire_slot(Slot& slot, std::uint64_t id, TimeNs t) {
   now_ = t;
   slot.pending_id = 0;  // a self-cancel inside the callback is a no-op
-  slot.extracted = false;
   --live_;
   ++processed_;
   obs_fired_.inc();
@@ -34,14 +38,6 @@ void EventLoop::fire_slot(Slot& slot, std::uint64_t id, TimeNs t) {
   slot.cb();
   slot.next_free = free_head_;
   free_head_ = static_cast<std::uint32_t>(id & kSlotMask);
-}
-
-void EventLoop::release_slot(std::uint32_t s) {
-  Slot& slot = slot_ref(s);
-  slot.pending_id = 0;
-  slot.extracted = false;
-  slot.next_free = free_head_;
-  free_head_ = s;
 }
 
 void EventLoop::wheel_insert(TimeNs t, std::uint64_t id,
@@ -90,37 +86,6 @@ std::uint64_t EventLoop::next_nonempty_bucket() const {
   // Convert the circular position back to an absolute bucket index.
   const std::uint64_t base = cursor_ - start;
   return pos >= start ? base + pos : base + pos + kWheelSize;
-}
-
-// Eagerly unlinks the pending entry for `slot` if it lives in the wheel
-// (far-heap entries are left behind as lazy tombstones — pull and pop drop
-// them).  Keeping buckets tombstone-free bounds the drain scan by the real
-// per-bucket concurrency: without this, a flow's per-ACK RTO rearms pile
-// thousands of dead entries into one deadline bucket and the drain's
-// min-scan degenerates quadratically.
-void EventLoop::wheel_unlink_if_near(const Slot& slot, std::uint64_t id) {
-  const std::uint64_t ab =
-      std::max(slot.time >> kBucketShift, cursor_);
-  if (ab >= cursor_ + kWheelSize) return;  // in the far heap
-  const std::uint64_t b = ab & kWheelMask;
-  std::uint32_t prev = kNilNode;
-  for (std::uint32_t cur = bucket_head_[b]; cur != kNilNode;
-       prev = cur, cur = pool_[cur].next) {
-    if (pool_[cur].id != id) continue;
-    if (prev == kNilNode) {
-      bucket_head_[b] = pool_[cur].next;
-    } else {
-      pool_[prev].next = pool_[cur].next;
-    }
-    pool_[cur].next = node_free_;
-    node_free_ = cur;
-    --wheel_count_;
-    if (bucket_head_[b] == kNilNode) {
-      occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
-    return;
-  }
-  NIMBUS_CHECK_MSG(false, "pending near event missing from its bucket");
 }
 
 void EventLoop::pull_far_into_window() {
@@ -179,29 +144,12 @@ void EventLoop::cancel(EventId id) {
   if (id == 0 || s >= total_slots_) return;
   Slot& slot = slot_ref(s);
   if (slot.pending_id != id) return;  // fired, cancelled, or stale
-  // Events sitting in the drain batch are already unlinked from the wheel.
-  if (!slot.extracted) wheel_unlink_if_near(slot, id);
-  release_slot(s);
+  // The queue entry stays behind as a tombstone: the drain and
+  // pull_far_into_window drop any entry whose slot no longer holds its id.
+  slot.pending_id = 0;
+  slot.next_free = free_head_;
+  free_head_ = s;
   --live_;
-}
-
-EventId EventLoop::reschedule(EventId id, TimeNs t) {
-  const auto s = static_cast<std::uint32_t>(id & kSlotMask);
-  NIMBUS_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-  NIMBUS_CHECK_MSG(id != 0 && s < total_slots_ &&
-                       slot_ref(s).pending_id == id,
-                   "reschedule of a fired or cancelled event");
-  Slot& slot = slot_ref(s);
-  if (slot.extracted) {
-    slot.extracted = false;  // batch entry: already off the wheel
-  } else {
-    wheel_unlink_if_near(slot, id);  // far entries become lazy tombstones
-  }
-  const EventId nid = make_event_id(s);
-  slot.pending_id = nid;
-  slot.time = static_cast<std::uint64_t>(t);
-  enqueue_entry(t, nid);
-  return nid;
 }
 
 void EventLoop::set_run_budget(std::uint64_t max_events,
@@ -315,7 +263,7 @@ void EventLoop::run_until(TimeNs t_end) {
         node_free_ = best;
         --wheel_count_;
         Slot& slot = slot_ref(static_cast<std::uint32_t>(id & kSlotMask));
-        if (slot.pending_id != id) continue;  // cancelled / rescheduled
+        if (slot.pending_id != id) continue;  // cancelled
         have_fired = true;
         last_fired_time = t_min;
         fire_slot(slot, id, static_cast<TimeNs>(t_min));
@@ -327,10 +275,9 @@ void EventLoop::run_until(TimeNs t_end) {
       // event just fired through the fast path above).  Extract the rest.
       batch_.clear();
       {
-        // Pass 2: unlink the whole run.  Tombstones (cancelled or
-        // rescheduled ids) are dropped here; live entries are marked
-        // extracted so cancel/reschedule from inside a batch callback
-        // know the wheel no longer holds them.
+        // Pass 2: unlink the whole run.  Tombstones (cancelled ids) are
+        // dropped here; a batch member cancelled by an earlier member's
+        // callback is skipped when its turn comes.
         std::uint32_t prev = kNilNode;
         std::uint32_t cur = bucket_head_[b];
         while (cur != kNilNode) {
@@ -345,10 +292,8 @@ void EventLoop::run_until(TimeNs t_end) {
             pool_[cur].next = node_free_;
             node_free_ = cur;
             --wheel_count_;
-            Slot& slot =
-                slot_ref(static_cast<std::uint32_t>(id & kSlotMask));
-            if (slot.pending_id == id) {
-              slot.extracted = true;
+            if (slot_ref(static_cast<std::uint32_t>(id & kSlotMask))
+                    .pending_id == id) {
               // detlint:allow(R5): batch_ is reused; no alloc past high-water
               batch_.push_back(id);
             }
@@ -359,7 +304,8 @@ void EventLoop::run_until(TimeNs t_end) {
         }
         std::sort(batch_.begin(), batch_.end());
         // +1: the run's first event fired through the fast path above.
-        obs_batch_size_.observe(batch_.size() + 1);
+        // A run whose other entries were all tombstones is no batch.
+        if (!batch_.empty()) obs_batch_size_.observe(batch_.size() + 1);
       }
 
       for (std::size_t i = 0; i < batch_.size(); ++i) {
@@ -373,11 +319,10 @@ void EventLoop::run_until(TimeNs t_end) {
           // pending for the next run_until call.
           for (std::size_t j = i + 1; j < batch_.size(); ++j) {
             const std::uint64_t rid = batch_[j];
-            Slot& rslot =
-                slot_ref(static_cast<std::uint32_t>(rid & kSlotMask));
-            if (rslot.pending_id != rid) continue;
-            rslot.extracted = false;
-            wheel_insert(static_cast<TimeNs>(t_min), rid, cursor_);
+            if (slot_ref(static_cast<std::uint32_t>(rid & kSlotMask))
+                    .pending_id == rid) {
+              wheel_insert(static_cast<TimeNs>(t_min), rid, cursor_);
+            }
           }
           break;
         }
@@ -409,11 +354,7 @@ void EventLoop::attach_metrics(obs::MetricsRegistry* m) {
 }
 
 void Timer::arm(TimeNs at) {
-  if (pending_ != 0) {
-    // Fast path: keep the slot and trampoline, move only the queue entry.
-    pending_ = loop_->reschedule(pending_, at);
-    return;
-  }
+  cancel();
   pending_ = loop_->schedule(at, Fire{this});
 }
 

@@ -32,9 +32,10 @@
 //    a phase start waking every flow at once — costs O(k log k) instead of
 //    the O(k^2) repeated min-extraction.
 //  * Timer binds its handler (owner pointer + function pointer) once, at
-//    construction; arming takes only a time.  While armed, re-arming keeps
-//    the slot and only re-enqueues the 16-byte entry (reschedule()), so
-//    per-ACK RTO rearming touches no callback storage.
+//    construction; arming takes only a time.  Re-arming is cancel() +
+//    schedule(): the LIFO free list hands the cancelled slot straight
+//    back, so a per-ACK re-arm writes the 8-byte trampoline and its invoke
+//    pointer into a warm slot and enqueues one entry.
 #pragma once
 
 #include <array>
@@ -116,7 +117,6 @@ class EventLoop {
     slot.cb.emplace<F>(std::forward<F>(cb));
     const EventId id = make_event_id(s);
     slot.pending_id = id;
-    slot.time = static_cast<std::uint64_t>(t);
     enqueue_entry(t, id);
     ++live_;
     return id;
@@ -128,13 +128,12 @@ class EventLoop {
     return schedule(now_ + delay, std::forward<F>(cb));
   }
 
-  /// Cancels a pending event; no-op if already fired or cancelled.
+  /// Cancels a pending event; no-op if already fired or cancelled.  The
+  /// slot is freed at once; the queue entry stays behind as a tombstone
+  /// (wheel and far heap alike) and is dropped when the drain reaches it.
+  /// To move an event, cancel it and schedule it anew: the freed slot is
+  /// the next one schedule() takes.
   void cancel(EventId id);
-
-  /// Moves a *pending* event to a new time, keeping its slot and callback.
-  /// Returns the replacement id (the old id becomes invalid).  The event
-  /// takes a fresh FIFO position, exactly as cancel() + schedule() would.
-  EventId reschedule(EventId id, TimeNs t);
 
   /// Runs events until the queue empties or the next event is past `t_end`;
   /// now() is t_end afterwards (unless stop() was called earlier).
@@ -211,13 +210,8 @@ class EventLoop {
 
   struct Slot {
     EventCallback cb;
-    std::uint64_t pending_id = 0;    // 0 = empty/free
-    std::uint64_t time = 0;          // deadline of the pending event
+    std::uint64_t pending_id = 0;  // 0 = empty/free
     std::uint32_t next_free = kNoSlot;
-    // True while the event sits in the drain batch (unlinked from its
-    // bucket but not yet fired): cancel/reschedule must not try to unlink
-    // it from the wheel again.
-    bool extracted = false;
   };
 
   Slot& slot_ref(std::uint32_t s) {
@@ -236,7 +230,6 @@ class EventLoop {
   static constexpr std::uint64_t kBudgetCheckInterval = 4096;
 
   std::uint32_t acquire_slot(TimeNs t);
-  void release_slot(std::uint32_t s);
   // Slow path of the per-event budget compare: trips the event/wall limit
   // (setting stopped_ + budget_stop_) or re-arms budget_check_next_.
   void check_budget();
@@ -247,9 +240,10 @@ class EventLoop {
 
   // Wheel entries are 24-byte nodes in a pooled arena, linked into their
   // bucket.  The pool's high-water mark tracks the maximum number of
-  // concurrently pending near events — not which buckets simulated time
-  // happens to visit — so steady-state insertion allocates nothing no
-  // matter how far the clock advances.
+  // near entries queued at once (pending events plus tombstones not yet
+  // drained) — not which buckets simulated time happens to visit — so
+  // steady-state insertion allocates nothing no matter how far the clock
+  // advances.
   struct Node {
     std::uint64_t time;
     std::uint64_t id;
@@ -263,7 +257,6 @@ class EventLoop {
   // --- ready queue (wheel + far heap) ---
   void enqueue_entry(TimeNs t, std::uint64_t id);
   void wheel_insert(TimeNs t, std::uint64_t id, std::uint64_t abs_bucket);
-  void wheel_unlink_if_near(const Slot& slot, std::uint64_t id);
   std::uint64_t next_nonempty_bucket() const;  // needs wheel_count_ > 0
   void pull_far_into_window();
   void heap_push(Entry e);
@@ -308,9 +301,9 @@ class EventLoop {
 
 /// A single rearmable timer (e.g. an RTO) bound at construction to one
 /// handler: `handler(owner)` runs at most once per arm.  Re-arming cancels
-/// the previous schedule.  The loop holds only an 8-byte trampoline, so
-/// arming never allocates, and re-arming while armed reuses the pending
-/// slot via EventLoop::reschedule.
+/// the previous schedule and schedules anew, which reuses the cancelled
+/// slot.  The loop holds only an 8-byte trampoline, so arming never
+/// allocates.
 class Timer {
  public:
   using Handler = void (*)(void* owner);

@@ -173,7 +173,8 @@ void BottleneckLink::apply_rate_change(double new_rate_bps) {
         0.5);
     busy_time_ += (now + remaining) - tx_done_time_;
     tx_done_time_ = now + remaining;
-    tx_done_id_ = loop_->reschedule(tx_done_id_, tx_done_time_);
+    loop_->cancel(tx_done_id_);
+    tx_done_id_ = loop_->schedule(tx_done_time_, TxDone{this});
   }
   rate_bps_ = new_rate_bps;
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -293,6 +294,42 @@ TEST(ResultCacheTest, GarbageAndWrongKeyEntriesRejected) {
   fs::copy_file(entry8, entry, fs::copy_options::overwrite_existing);
   EXPECT_FALSE(cache.load(h, 7).has_value());
   EXPECT_GE(cache.stats().corrupt, 2);
+}
+
+// A checksum-valid entry whose value count is negative or larger than
+// the lines that follow must read as a corrupt miss, not size an
+// allocation from untrusted input.
+TEST(ResultCacheTest, OversizedValueCountIsCorrupt) {
+  TempDir tmp;
+  ResultCache cache(tmp.str(), ResultCache::Mode::kReadWrite);
+  const Hash128 h = spec_hash(small_spec(7));
+  cache.store(h, 7, CellResult::scalar(42.0));
+  const fs::path entry = find_entry(tmp.path);
+  std::string text;
+  {
+    std::ifstream in(entry, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t n_at = text.find("\nn 1\n");
+  ASSERT_NE(n_at, std::string::npos);
+  const std::size_t ok_at = text.rfind("ok ");
+  ASSERT_NE(ok_at, std::string::npos);
+
+  int corrupt = 0;
+  for (const char* count : {"-1", "99999999999", "2", " 1", ""}) {
+    std::string payload = text.substr(0, ok_at);
+    payload.replace(n_at, 5, std::string("\nn ") + count + "\n");
+    std::ofstream(entry, std::ios::binary | std::ios::trunc)
+        << payload << "ok " << fnv128(payload).hex() << "\n";
+    EXPECT_FALSE(cache.load(h, 7).has_value()) << "n = '" << count << "'";
+    EXPECT_EQ(cache.stats().corrupt, ++corrupt);
+  }
+
+  // Recovery: recompute (store) and the cell reads back again.
+  cache.store(h, 7, CellResult::scalar(42.0));
+  const auto hit = cache.load(h, 7);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->value(), 42.0);
 }
 
 TEST(ResultCacheTest, InvalidCellsAreNeverStored) {

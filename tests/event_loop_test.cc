@@ -1,5 +1,5 @@
 // Tests for the allocation-free event core: FIFO determinism, O(1)
-// cancellation via generation tags, the Timer rearm fast path, the
+// cancellation via generation tags, Timer re-arming, the
 // equal-time batch drain (via the loop.batch_size histogram), the
 // steady-state zero-allocation guarantee (via a counting operator-new
 // hook), and a golden-value regression pinning simulation output to the
@@ -204,23 +204,31 @@ TEST(EventCoreTest, CallbackCanCancelLaterSameTimeEvent) {
   EXPECT_EQ(loop.pending_events(), 0u);
 }
 
-TEST(EventCoreTest, CallbackCanRescheduleLaterSameTimeEvent) {
-  // Rescheduling a later same-time event from inside the run gives it a
-  // fresh FIFO position after everything already queued at that time.
+TEST(EventCoreTest, CallbackCanMoveLaterSameTimeEvent) {
+  // Event 1 fires through the per-event path; 2, 3 and 4 are then drained
+  // as one extracted batch.  Event 2, firing inside that batch, moves 3 by
+  // cancel + schedule at the same time: the batch must skip 3's old entry
+  // (its slot is already reused under a fresh id), and the new entry takes
+  // a fresh FIFO position after everything already queued at that time.
   EventLoop loop;
   std::vector<int> order;
-  std::vector<EventId> ids(4, 0);
-  ids[1] = loop.schedule(from_ms(5), [&]() {
-    order.push_back(1);
-    ids[2] = loop.reschedule(ids[2], from_ms(5));  // same time, new position
+  std::vector<EventId> ids(5, 0);
+  const auto push = [&order](int i) {
+    return [&order, i]() { order.push_back(i); };
+  };
+  ids[1] = loop.schedule(from_ms(5), push(1));
+  ids[2] = loop.schedule(from_ms(5), [&]() {
+    order.push_back(2);
+    const EventId old_id = ids[3];
+    loop.cancel(ids[3]);
+    ids[3] = loop.schedule(from_ms(5), push(3));
+    EXPECT_EQ(ids[3] & 0xfffffu, old_id & 0xfffffu);  // same slot, reused
   });
-  ids[2] = loop.schedule(from_ms(5), [&order]() { order.push_back(2); });
-  ids[3] = loop.schedule(from_ms(5), [&order]() { order.push_back(3); });
+  ids[3] = loop.schedule(from_ms(5), push(3));
+  ids[4] = loop.schedule(from_ms(5), push(4));
   loop.run();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 3);
-  EXPECT_EQ(order[2], 2);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 TEST(EventCoreTest, SameTimeScheduleFromCallbackFiresAfterRun) {
@@ -304,16 +312,19 @@ TEST(EventCoreTest, CancelAfterFireIsNoop) {
   EXPECT_EQ(later, 1);
 }
 
-TEST(EventCoreTest, RescheduleTakesFreshFifoPosition) {
+// A cancelled entry stays in its bucket as a tombstone.  One lying past
+// t_end must not hold up run_until, count as pending, or fire later.
+TEST(EventCoreTest, CancelledEventPastEndDoesNotHoldUpRun) {
   EventLoop loop;
-  std::vector<char> order;
-  const EventId x = loop.schedule(from_ms(1), [&order]() { order.push_back('x'); });
-  loop.schedule(from_ms(5), [&order]() { order.push_back('y'); });
-  loop.reschedule(x, from_ms(5));  // same time as y, but scheduled later
+  int fired = 0;
+  const EventId id = loop.schedule(from_ms(30), [&fired]() { ++fired; });
+  loop.cancel(id);
+  loop.run_until(from_ms(10));
+  EXPECT_EQ(loop.now(), from_ms(10));
+  EXPECT_EQ(loop.pending_events(), 0u);
   loop.run();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 'y');
-  EXPECT_EQ(order[1], 'x');
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(loop.processed_events(), 0u);
 }
 
 TEST(EventCoreTest, SlotPoolIsRecycled) {
@@ -351,6 +362,41 @@ TEST(TimerTest, RearmWhileArmedMovesDeadline) {
   EXPECT_FALSE(t.armed());
   loop.run_until(from_ms(40));
   EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerTest, RearmTakesFreshFifoPosition) {
+  // Re-arming onto another event's time queues the timer after it, as a
+  // fresh schedule would.
+  EventLoop loop;
+  std::vector<char> order;
+  struct Recorder {
+    std::vector<char>* order;
+    void timer_fired() { order->push_back('x'); }
+  } rec{&order};
+  Timer t(&loop, &rec, &Timer::method<Recorder, &Recorder::timer_fired>);
+  t.arm(from_ms(1));
+  loop.schedule(from_ms(5), [&order]() { order.push_back('y'); });
+  t.arm(from_ms(5));  // same time as y, but armed later
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'y', 'x'}));
+}
+
+TEST(TimerTest, RepeatedRearmAtOneDeadlineFiresOnce) {
+  // 1000 re-arms at one in-window deadline leave 999 tombstones in one
+  // bucket; exactly one event fires.
+  obs::MetricsRegistry metrics;
+  EventLoop loop;
+  loop.attach_metrics(&metrics);
+  int fired = 0;
+  Timer t(&loop, &fired, count_fire);
+  for (int i = 0; i < 1000; ++i) t.arm(from_ms(5));
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(t.armed());
+  std::map<std::string, double> snap;
+  for (const auto& [name, value] : metrics.snapshot()) snap[name] = value;
+  EXPECT_EQ(snap["loop.events_fired"], 1);
 }
 
 TEST(TimerTest, RearmFromInsideCallback) {
@@ -459,6 +505,9 @@ TEST(EventCoreTest, TimerRearmDoesNotAllocate) {
   EXPECT_EQ(alloc_count(), before) << "Timer::arm_in rearm must perform no "
                                       "heap allocations";
   EXPECT_EQ(fired, 2);  // one fire per pattern invocation
+  // A re-arm hands the cancelled slot straight back to schedule(), which
+  // is what keeps event ids (and so the firing order) unchanged.
+  EXPECT_EQ(loop.allocated_slots(), 1u);
 }
 
 // --- golden regression ---------------------------------------------------
