@@ -18,7 +18,8 @@
 #               between hosts, so the cross-file table is printed for
 #               trajectory only; the gate uses only same-run,
 #               same-process pairs, the one host-independent comparison.
-#   output      defaults to BENCH_PR18.json in the repo root
+#   output      defaults to BENCH_PR21.json in the repo root; the report's
+#               "pr" field is the number in the name (BENCH_PR<N>...json)
 #
 # The paired "before" numbers come from the same binary: bench_micro runs
 # the spectral detector and rate sampler against their executable-spec
@@ -31,7 +32,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR18.json
+OUT=BENCH_PR21.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -129,6 +130,7 @@ WARM_SECS="$WARM_SECS" HIT_RATE="$HIT_RATE" \
 python3 - <<'EOF'
 import json
 import os
+import re
 import sys
 
 micro = json.load(open(os.environ["MICRO_JSON"]))
@@ -165,8 +167,12 @@ def single(current):
 cubic = by_name.get("BM_SimulatedSecondCubic")
 scenario = by_name.get("BM_SimulatedSecondScenario")
 
+# "pr" is the number in the output name (BENCH_PR<N>.json, or the CI
+# artifact BENCH_PR<N>_ci.json); null for any other name.
+pr_match = re.match(r"BENCH_PR(\d+)", os.path.basename(os.environ["OUT"]))
+
 report = {
-    "pr": 13,
+    "pr": int(pr_match.group(1)) if pr_match else None,
     "generated_by": "scripts/bench_report.sh"
                     + (" --quick" if os.environ["QUICK"] == "1" else ""),
     "host": micro.get("context", {}),

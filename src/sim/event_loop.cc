@@ -221,10 +221,12 @@ void EventLoop::run_until(TimeNs t_end) {
     // costs two scans plus an O(k log k) sort instead of the k
     // min-extraction scans (O(k^2)) the per-event path would pay, while
     // distinct-deadline traffic keeps the per-event path's exact cost.
-    // Callbacks may append to this same bucket (they cannot make anything
-    // earlier pending) with strictly larger seqs, so firing an extracted
-    // run to completion before re-scanning preserves the exact global
-    // (time, seq) order.
+    // Callbacks may append to this same bucket but cannot make anything
+    // earlier pending: at the running deadline only under a fresh seq,
+    // larger than every extracted one (schedule_as re-queues under an
+    // older seq only at a later time), so firing an extracted run to
+    // completion before re-scanning preserves the exact global (time, seq)
+    // order.
     const std::uint64_t b = cursor_ & kWheelMask;
     bool reached_end = false;
     std::uint64_t last_fired_time = 0;
@@ -353,9 +355,9 @@ void EventLoop::attach_metrics(obs::MetricsRegistry* m) {
   obs_batch_size_ = m->histogram("loop.batch_size");
 }
 
-void Timer::arm(TimeNs at) {
+void Timer::arm(TimeNs at, std::uint64_t seq) {
   cancel();
-  pending_ = loop_->schedule(at, Fire{this});
+  pending_ = loop_->schedule_as(at, seq, Fire{this});
 }
 
 void Timer::cancel() {

@@ -23,7 +23,8 @@
 //    deadlines is branch misprediction, which the wheel sidesteps
 //    entirely.  Far events migrate into the wheel as the window slides.
 //  * Every entry carries one 128-bit key packing (time, seq, slot); seq is
-//    a global monotone counter assigned per schedule call, so events fire
+//    a global monotone counter taken once per schedule call (or ahead of
+//    the call, with take_seq(), by a deferred event), so events fire
 //    in exactly the seed implementation's (time, id) order — same-time
 //    events in FIFO scheduling order, keeping simulation output
 //    bit-identical.  A bucket is drained by unlinking its entire
@@ -34,8 +35,13 @@
 //  * Timer binds its handler (owner pointer + function pointer) once, at
 //    construction; arming takes only a time.  Re-arming is cancel() +
 //    schedule(): the LIFO free list hands the cancelled slot straight
-//    back, so a per-ACK re-arm writes the 8-byte trampoline and its invoke
-//    pointer into a warm slot and enqueues one entry.
+//    back, so a re-arm writes the 8-byte trampoline and its invoke pointer
+//    into a warm slot and enqueues one entry.  A deadline that only moves
+//    later is not re-armed at all: the transport's RTO takes a sequence
+//    number per ACK (take_seq()), stores the deadline and that number, and
+//    re-queues under them (Timer::arm(at, seq)) when the earlier event
+//    fires.  RTOs thus leave no per-ACK far-heap tombstones, and every
+//    event keeps the (time, seq) key an eager re-arm would have given it.
 #pragma once
 
 #include <array>
@@ -112,10 +118,29 @@ class EventLoop {
   /// pooled slot.
   template <typename F>
   EventId schedule(TimeNs t, F&& cb) {
+    return schedule_as(t, take_seq(), std::forward<F>(cb));
+  }
+
+  /// Consumes the sequence number the next schedule() would take.  An
+  /// owner that defers an event (Timer::arm(at, seq)) takes its number at
+  /// the moment the event is logically scheduled, so the event keeps the
+  /// FIFO position among same-time events it would have had.
+  std::uint64_t take_seq() {
+    NIMBUS_CHECK_MSG(next_seq_ < std::uint64_t{1} << (64 - kSlotBits),
+                     "event sequence space exhausted");
+    return next_seq_++;
+  }
+
+  /// Schedules `cb` at `t` under a number from take_seq().  Each taken
+  /// number keys at most one pending event, and (t, seq) must not precede
+  /// the key of the event now firing: a deferred event is re-queued only
+  /// at a strictly later time.
+  template <typename F>
+  EventId schedule_as(TimeNs t, std::uint64_t seq, F&& cb) {
     const std::uint32_t s = acquire_slot(t);
     Slot& slot = slot_ref(s);
     slot.cb.emplace<F>(std::forward<F>(cb));
-    const EventId id = make_event_id(s);
+    const EventId id = seq << kSlotBits | s;
     slot.pending_id = id;
     enqueue_entry(t, id);
     ++live_;
@@ -218,12 +243,6 @@ class EventLoop {
     return chunks_[s >> kChunkShift][s & (kChunkSize - 1)];
   }
 
-  EventId make_event_id(std::uint32_t s) {
-    NIMBUS_CHECK_MSG(next_seq_ < std::uint64_t{1} << (64 - kSlotBits),
-                     "event sequence space exhausted");
-    return next_seq_++ << kSlotBits | s;
-  }
-
   // Wall-clock poll cadence for the run budget: cheap enough to be
   // invisible (one steady_clock read per ~4k events), fine-grained enough
   // that a runaway cell overshoots its wall limit by milliseconds.
@@ -303,7 +322,8 @@ class EventLoop {
 /// handler: `handler(owner)` runs at most once per arm.  Re-arming cancels
 /// the previous schedule and schedules anew, which reuses the cancelled
 /// slot.  The loop holds only an 8-byte trampoline, so arming never
-/// allocates.
+/// allocates.  arm(at, seq) schedules under a number the owner took with
+/// EventLoop::take_seq() (see EventLoop::schedule_as).
 class Timer {
  public:
   using Handler = void (*)(void* owner);
@@ -321,7 +341,8 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  void arm(TimeNs at);
+  void arm(TimeNs at) { arm(at, loop_->take_seq()); }
+  void arm(TimeNs at, std::uint64_t seq);
   void arm_in(TimeNs delay) { arm(loop_->now() + delay); }
   void cancel();
   bool armed() const { return pending_ != 0; }

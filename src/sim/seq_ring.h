@@ -28,7 +28,9 @@ namespace nimbus::sim {
 
 /// Sliding-window map from a dense, window-bounded set of sequence numbers
 /// to T.  Occupied sequences always lie in [lowest(), upper()) and that
-/// span never exceeds capacity(), so `seq & mask` is collision-free.
+/// span never exceeds capacity(), so `seq & mask` is collision-free.  A
+/// slot is {T, seq}, with seq == kEmpty marking a free slot, so sequences
+/// must stay below kEmpty (2^64 - 1).
 template <typename T>
 class SeqRing {
  public:
@@ -47,7 +49,7 @@ class SeqRing {
 
   T* find(std::uint64_t seq) {
     Slot& s = slots_[seq & mask_];
-    return s.occupied && s.seq == seq ? &s.value : nullptr;
+    return s.seq == seq ? &s.value : nullptr;
   }
 
   /// Inserts `seq` (must not be present).
@@ -57,8 +59,7 @@ class SeqRing {
     // detlint:allow(R5): doubling growth, amortized away once the window
     if (nhi - nlo > slots_.size()) grow(nhi - nlo);
     Slot& s = slots_[seq & mask_];
-    NIMBUS_CHECK_MSG(!s.occupied, "SeqRing double insert");
-    s.occupied = true;
+    NIMBUS_CHECK_MSG(s.seq == kEmpty, "SeqRing double insert");
     s.seq = seq;
     s.value = std::move(value);
     lo_ = nlo;
@@ -69,8 +70,8 @@ class SeqRing {
   /// Erases `seq` if present; returns whether it was.
   bool erase(std::uint64_t seq) {
     Slot& s = slots_[seq & mask_];
-    if (!s.occupied || s.seq != seq) return false;
-    s.occupied = false;
+    if (s.seq != seq) return false;
+    s.seq = kEmpty;
     --count_;
     if (count_ == 0) {
       lo_ = hi_ = 0;
@@ -80,10 +81,10 @@ class SeqRing {
     // really exceeds capacity.  Both walks amortize against insertions
     // (each bound moves past a given sequence at most once per insert).
     if (seq == lo_) {
-      while (!slots_[lo_ & mask_].occupied) ++lo_;
+      while (slots_[lo_ & mask_].seq == kEmpty) ++lo_;
     }
     if (seq + 1 == hi_) {
-      while (!slots_[(hi_ - 1) & mask_].occupied) --hi_;
+      while (slots_[(hi_ - 1) & mask_].seq == kEmpty) --hi_;
     }
     return true;
   }
@@ -106,14 +107,14 @@ class SeqRing {
     const std::uint64_t end = to < hi_ ? to : hi_;
     for (; s < end; ++s) {
       Slot& slot = slots_[s & mask_];
-      if (slot.occupied && slot.seq == s) f(s, slot.value);
+      if (slot.seq == s) f(s, slot.value);
     }
   }
 
   void clear() {
     if (count_ > 0) {
       for (std::uint64_t s = lo_; s < hi_; ++s) {
-        slots_[s & mask_].occupied = false;
+        slots_[s & mask_].seq = kEmpty;
       }
     }
     lo_ = hi_ = 0;
@@ -131,10 +132,11 @@ class SeqRing {
   }
 
  private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
   struct Slot {
     T value{};
-    std::uint64_t seq = 0;
-    bool occupied = false;
+    std::uint64_t seq = kEmpty;
   };
 
   void grow(std::uint64_t min_span) {
@@ -145,7 +147,7 @@ class SeqRing {
     const std::uint64_t nmask = cap - 1;
     for (std::uint64_t s = lo_; s < hi_; ++s) {
       Slot& old = slots_[s & mask_];
-      if (old.occupied && old.seq == s) next[s & nmask] = std::move(old);
+      if (old.seq == s) next[s & nmask] = std::move(old);
     }
     slots_ = std::move(next);
     mask_ = nmask;

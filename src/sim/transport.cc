@@ -28,6 +28,7 @@ TransportObs TransportObs::registered(obs::MetricsRegistry* m,
     o.acks = m->counter("transport.acks");
     o.retransmits = m->counter("transport.retransmits");
     o.rto_backoffs = m->counter("transport.rto_backoffs");
+    o.rto_requeues = m->counter("transport.rto_requeues");
     o.spurious_rx = m->counter("transport.spurious_rx");
   }
   return o;
@@ -163,7 +164,7 @@ void TransportFlow::send_one() {
   p.is_transport = true;
   p.is_retransmit = retransmit;
 
-  outstanding_.insert(seq, {p.sent_at, retransmit});
+  outstanding_.insert(seq, {p.sent_at});
   ++sent_packets_total_;
   if (retransmit) obs_.retransmits.inc();
   if (!rto_timer_.armed()) arm_or_cancel_rto();
@@ -318,22 +319,40 @@ void TransportFlow::update_rtt(TimeNs sample) {
 TimeNs TransportFlow::current_rto() const {
   TimeNs rto = have_rtt_ ? srtt_ + 4 * rttvar_ : from_sec(1);
   rto = std::max(rto, kMinRto);
-  rto <<= std::min(rto_backoff_, 6);
+  rto <<= rto_backoff_;
   return std::min(rto, kMaxRto);
 }
 
+// One pending retransmit timer, as RFC 6298 §5.3 stacks keep it.  Every
+// arm takes an event sequence number, as an eager cancel + schedule would,
+// so every event's (time, seq) key stays what eager re-arming gives it.
+// A deadline strictly later than the stored one (the per-ACK case) is only
+// stored: the queued event wakes early and on_rto_fired re-queues it under
+// the stored key.  Anything else re-queues at once.  Strictly later keeps
+// the queued event either before rto_deadline_ in time or exactly at
+// (rto_deadline_, rto_seq_).
 void TransportFlow::arm_or_cancel_rto() {
   if (outstanding_.empty()) {
     rto_timer_.cancel();
     return;
   }
-  rto_timer_.arm_in(current_rto());
+  const TimeNs deadline = loop_->now() + current_rto();
+  const std::uint64_t seq = loop_->take_seq();
+  const bool defer = rto_timer_.armed() && deadline > rto_deadline_;
+  rto_deadline_ = deadline;
+  rto_seq_ = seq;
+  if (!defer) rto_timer_.arm(deadline, seq);
 }
 
 void TransportFlow::on_rto_fired() {
+  if (loop_->now() < rto_deadline_) {
+    obs_.rto_requeues.inc();
+    rto_timer_.arm(rto_deadline_, rto_seq_);
+    return;
+  }
   if (completed_ || outstanding_.empty()) return;
   ++rto_count_;
-  rto_backoff_ = std::min(rto_backoff_ + 1, 6);
+  rto_backoff_ = static_cast<std::uint8_t>(std::min(rto_backoff_ + 1, 6));
   obs_.rto_backoffs.inc();
   if (obs_.trace.active()) {
     obs::TraceEvent e;

@@ -55,11 +55,12 @@ namespace nimbus::sim {
 
 /// Transport telemetry handles, shared by every flow in a Network (the
 /// registry slots are per-scenario aggregates; the trace ring tags events
-/// with the flow id).  Copy-by-value: four pointers and a trace handle.
+/// with the flow id).  Copy-by-value: five pointers and a trace handle.
 struct TransportObs {
   obs::Counter acks;           // ACKs processed by senders
   obs::Counter retransmits;    // retransmitted data packets sent
   obs::Counter rto_backoffs;   // RTO firings (backoff escalations)
+  obs::Counter rto_requeues;   // early wake-ups of a deferred RTO
   obs::Counter spurious_rx;    // receiver-side duplicate data arrivals
                                // (reorder-triggered spurious retx signal)
   obs::Trace trace;
@@ -157,7 +158,6 @@ class TransportFlow : public CcContext {
  private:
   struct SentRecord {
     TimeNs sent_at;
-    bool retransmit;
   };
 
   // ACK-arrival event: this + the 48-byte Ack fill the event loop's 56-byte
@@ -193,20 +193,15 @@ class TransportFlow : public CcContext {
   std::unique_ptr<CcAlgorithm> cc_;
   util::Rng rng_;
 
-  bool started_ = false;
-  bool completed_ = false;
-
   // Sender state.
   std::uint64_t snd_nxt_ = 0;    // next new sequence to send
   std::uint64_t snd_una_ = 0;    // lowest unacknowledged sequence
   std::uint64_t highest_acked_ = 0;
-  bool any_acked_ = false;
   SeqRing<SentRecord> outstanding_;
   util::RingDeque<std::uint64_t> retx_queue_;
   std::vector<std::uint64_t> retx_scratch_;  // on_rto sort/dedup staging
   std::uint64_t loss_event_end_ = 0;  // congestion-event dedup boundary
   std::int64_t app_bytes_remaining_ = 0;
-  bool backlogged_ = false;
 
   // Receiver state.
   std::uint64_t rcv_next_ = 0;
@@ -222,13 +217,23 @@ class TransportFlow : public CcContext {
   TimeNs rttvar_ = 0;
   TimeNs latest_rtt_ = 0;
   TimeNs min_rtt_ = std::numeric_limits<TimeNs>::max();
-  bool have_rtt_ = false;
 
   Timer rto_timer_;
   Timer pacing_timer_;
   Timer report_timer_;
   Timer stop_timer_;
-  int rto_backoff_ = 0;
+  // The RTO deadline the latest arm asked for and the event sequence
+  // number it took.  The queued RTO event fires no later than that; if
+  // earlier, on_rto_fired re-queues it under this key.
+  TimeNs rto_deadline_ = 0;
+  std::uint64_t rto_seq_ = 0;
+  std::uint8_t rto_backoff_ = 0;  // RTO doublings, 0..6
+  // Flags, packed next to rto_backoff_ to share its 8-byte word.
+  bool started_ = false;
+  bool completed_ = false;
+  bool backlogged_ = false;
+  bool any_acked_ = false;
+  bool have_rtt_ = false;
 
   RateSampler sampler_;
   RateSampler::Rates cached_rates_;
@@ -249,5 +254,11 @@ class TransportFlow : public CcContext {
 
   TransportObs obs_;
 };
+
+// Every flow of a workload lives for the whole run, so a field added here
+// is paid once per flow ever started (perfbench flow_churn peak_rss_mb).
+static_assert(sizeof(TransportFlow) <= 800,
+              "a TransportFlow field must fit existing padding or pay for "
+              "itself");
 
 }  // namespace nimbus::sim

@@ -111,6 +111,27 @@ TEST(EventCallbackTest, TriviallyCopyable) {
 
 // --- ordering & cancellation -------------------------------------------
 
+// A number taken with take_seq() holds its FIFO place: the event
+// scheduled under it fires after same-time events scheduled before the
+// take and before those scheduled after it, even though it is queued last
+// (from an earlier event, as a deferred RTO is re-queued on wake-up).
+TEST(EventLoopTest, ScheduleAsKeepsTakenFifoPosition) {
+  EventLoop loop;
+  std::vector<int> order;
+  const auto at_5ms = [&](int tag) {
+    loop.schedule(from_ms(5), [&order, tag]() { order.push_back(tag); });
+  };
+  at_5ms(1);
+  const std::uint64_t seq = loop.take_seq();
+  at_5ms(3);
+  loop.schedule(from_ms(1), [&loop, &order, seq]() {
+    loop.schedule_as(from_ms(5), seq, [&order]() { order.push_back(2); });
+  });
+  at_5ms(4);
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
 TEST(EventCoreTest, SameTimeFiresInSchedulingOrder) {
   EventLoop loop;
   std::vector<int> order;
@@ -163,10 +184,14 @@ TEST(EventCoreTest, SameTimeBurstDrainsAsOneBatch) {
   EXPECT_EQ(batches, expected);
 }
 
-// Baseline for the lazy RTO re-arm: every ACK re-arms the flow's RTO, and
-// the RTO (>= 200 ms) lies past the wheel's ~134 ms horizon, so today each
-// ACK costs one far-heap insert.  A 40-packet window over 12 Mb/s for 5 s;
-// a change to how the RTO is queued re-pins far_heap_inserts here.
+// Guard for the lazy RTO re-arm.  Every ACK pushes the flow's RTO (>= 200
+// ms, past the wheel's ~134 ms horizon) later; an eager re-arm paid one
+// far-heap insert per ACK (4981 here).  The deferred RTO stores the new
+// deadline instead and re-queues only when the queued event wakes early.
+// Far-heap inserts are the first arm (1 s, no RTT sample yet), the first
+// ACK's eager re-arm at the earlier 221 ms deadline, and one per early
+// wake-up.  A 40-packet window over 12 Mb/s for 5 s; a change to how the
+// RTO is queued re-pins far_heap_inserts here.
 TEST(EventCoreTest, RtoRearmFarHeapInsertsArePinned) {
   obs::Telemetry telemetry(obs::Mode::kCounters);
   sim::Network net(12e6, 1 << 20);
@@ -182,7 +207,8 @@ TEST(EventCoreTest, RtoRearmFarHeapInsertsArePinned) {
     snap[name] = value;
   }
   EXPECT_EQ(snap["transport.acks"], 4980);
-  EXPECT_EQ(snap["loop.far_heap_inserts"], 4981);  // + the first arm
+  EXPECT_EQ(snap["transport.rto_requeues"], 25);
+  EXPECT_EQ(snap["loop.far_heap_inserts"], 27);
 }
 
 TEST(EventCoreTest, CallbackCanCancelLaterSameTimeEvent) {
@@ -512,6 +538,13 @@ TEST(EventCoreTest, TimerRearmDoesNotAllocate) {
 
 // --- golden regression ---------------------------------------------------
 
+double counter(const exp::ScenarioRun& run, const std::string& name) {
+  for (const auto& [n, value] : run.telemetry->metrics.snapshot()) {
+    if (n == name) return value;
+  }
+  return -1;
+}
+
 // Exact output of this scenario under the seed event core (captured from
 // commit 80dcab9's build; see ISSUE 2).  Any event reordering, RNG drift,
 // or floating-point change in the rewrite shows up here as a hard failure.
@@ -526,9 +559,14 @@ TEST(EventCoreTest, GoldenScenarioBitIdenticalToSeed) {
   spec.cross.push_back(exp::CrossSpec::poisson(8e6, 2));
   spec.cross.push_back(exp::CrossSpec::flow("cubic", 3, from_sec(5)));
 
-  exp::ScenarioRun run = exp::run_scenario(spec);
+  exp::ObsConfig counters;
+  counters.mode = obs::Mode::kCounters;
+  exp::ScenarioRun run = exp::run_scenario(spec, nullptr, {}, counters);
   auto& net = *run.built.net;
-  EXPECT_EQ(net.loop().processed_events(), 191116u);
+  // The seed's event count plus one early wake-up per deferred RTO
+  // re-queue; every other value below is the seed's.
+  EXPECT_EQ(counter(run, "transport.rto_requeues"), 174);
+  EXPECT_EQ(net.loop().processed_events(), 191116u + 174u);
   EXPECT_EQ(net.recorder().delivered(1).total(), 40747500);
   EXPECT_EQ(net.recorder().delivered(2).total(), 19888500);
   EXPECT_EQ(net.recorder().delivered(3).total(), 58378500);
@@ -571,9 +609,13 @@ TEST(EventCoreTest, GoldenLossHeavyScenarioBitIdenticalToPr2) {
   spec.cross.push_back(exp::CrossSpec::flow("reno", 3, from_sec(4)));
   spec.cross.push_back(exp::CrossSpec::poisson(6e6, 4));
 
-  exp::ScenarioRun run = exp::run_scenario(spec);
+  exp::ObsConfig counters;
+  counters.mode = obs::Mode::kCounters;
+  exp::ScenarioRun run = exp::run_scenario(spec, nullptr, {}, counters);
   auto& net = *run.built.net;
-  EXPECT_EQ(net.loop().processed_events(), 186158u);
+  // The pinned event count plus the early wake-ups of deferred RTOs.
+  EXPECT_EQ(counter(run, "transport.rto_requeues"), 284);
+  EXPECT_EQ(net.loop().processed_events(), 186158u + 284u);
   EXPECT_EQ(net.recorder().delivered(1).total(), 55482000);
   EXPECT_EQ(net.recorder().delivered(2).total(), 23115000);
   EXPECT_EQ(net.recorder().delivered(3).total(), 12406500);

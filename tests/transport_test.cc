@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "cc/const_window.h"
 #include "cc/reno.h"
@@ -117,6 +119,8 @@ TEST(TransportTest, RtoRecoversFromTotalLoss) {
   // Random loss so aggressive that whole windows vanish occasionally.
   Network net(kRate, 1 << 20);
   net.link().set_random_loss(0.4, 17);
+  obs::Telemetry telemetry(obs::Mode::kTrace);
+  net.attach_telemetry(&telemetry);
   TransportFlow::Config cfg;
   cfg.id = 1;
   cfg.rtt_prop = from_ms(20);
@@ -124,6 +128,54 @@ TEST(TransportTest, RtoRecoversFromTotalLoss) {
   auto* flow = net.add_flow(cfg, std::make_unique<cc::Reno>());
   net.run_until(from_sec(120));
   EXPECT_TRUE(flow->completed());
+
+  // The RTO firing times, to the nanosecond, as an eager per-ACK re-arm
+  // gives them: the first RTO's deadline was pushed later by ACKs and
+  // deferred, so a deferred deadline that drifts by 1 ns fails here.
+  std::vector<TimeNs> rto_at;
+  for (const obs::TraceEvent& e : telemetry.recorder.snapshot()) {
+    if (static_cast<obs::TraceKind>(e.kind) == obs::TraceKind::kRtoFired) {
+      rto_at.push_back(e.t);
+    }
+  }
+  EXPECT_EQ(rto_at, (std::vector<TimeNs>{431000000, 831000000}));
+  std::map<std::string, double> snap;
+  for (const auto& [name, value] : telemetry.metrics.snapshot()) {
+    snap[name] = value;
+  }
+  EXPECT_GT(snap["transport.rto_requeues"], 0);
+}
+
+// A deferred RTO fires under the sequence number its last arm took, as an
+// eager re-arm's event would, not under one taken at its early wake-up.
+// Every ACK before RtoRecoversFromTotalLoss's first RTO schedules a probe
+// at that RTO's time through a same-time relay, so each probe is scheduled
+// just after its ACK's arm: only the last ACK's probe may follow the RTO.
+TEST(TransportTest, DeferredRtoKeepsItsLastArmFifoPosition) {
+  constexpr TimeNs kFirstRto = 431000000;
+  Network net(kRate, 1 << 20);
+  net.link().set_random_loss(0.4, 17);
+  TransportFlow::Config cfg;
+  cfg.id = 1;
+  cfg.rtt_prop = from_ms(20);
+  cfg.app_bytes = 50 * 1500;
+  auto* flow = net.add_flow(cfg, std::make_unique<cc::Reno>());
+  EventLoop& loop = net.loop();
+  std::vector<bool> after_rto;  // per probe, in firing order
+  flow->set_rtt_sample_handler([&](FlowId, TimeNs t, TimeNs) {
+    if (t >= kFirstRto) return;
+    loop.schedule(t, [&]() {
+      loop.schedule(kFirstRto, [&]() {
+        after_rto.push_back(flow->rto_count() > 0);
+      });
+    });
+  });
+  net.run_until(kFirstRto);
+  ASSERT_EQ(flow->rto_count(), 1u);
+  ASSERT_GE(after_rto.size(), 2u);
+  std::vector<bool> expected(after_rto.size(), false);
+  expected.back() = true;
+  EXPECT_EQ(after_rto, expected);
 }
 
 TEST(TransportTest, TraceRecordsCarryFlowIdsPast16Bits) {
